@@ -9,13 +9,14 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
     std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride")};
     for (bool cross : {true, false}) {
@@ -24,7 +25,7 @@ main()
         specs.push_back(
             makeBertiSpec(cfg, cross ? "berti" : "berti-nocross"));
     }
-    auto grid = runSpecMatrix(workloads, specs, params, "abl_cross_page");
+    auto grid = runSpecMatrix(opt, workloads, specs, params, "abl_cross_page");
     const auto &base = grid[0];
 
     std::cout << "Ablation (section IV-J): cross-page prefetching\n\n";

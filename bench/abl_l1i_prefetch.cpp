@@ -8,69 +8,44 @@
  */
 
 #include "common.hh"
-#include "harness/machine.hh"
 #include "prefetch/next_line.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = suiteWorkloads("cloud");
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
-    auto run = [&](bool l1i_pf, const std::string &l1d_spec) {
-        std::vector<SimResult> out(workloads.size());
-        forEachIndexParallel(workloads.size(), [&](std::size_t i) {
-            auto gen = workloads[i].make();
-            MachineConfig cfg = MachineConfig::sunnyCove(1);
-            PrefetcherSpec spec = makeSpec(l1d_spec);
-            cfg.l1dPrefetcher = spec.l1d;
-            cfg.l2Prefetcher = spec.l2;
-            if (l1i_pf) {
-                cfg.l1iPrefetcher = [] {
-                    return std::make_unique<NextLinePrefetcher>(2);
-                };
-            }
-            Machine machine(cfg, {gen.get()});
-            machine.run(params.warmupInstructions);
-            RunStats start = machine.liveStats(0);
-            machine.run(params.measureInstructions);
-            SimResult r;
-            r.roi = machine.liveStats(0).diff(start);
-            r.ipc = r.roi.core.ipc();
-            out[i] = r;
+    auto with_l1i = [&](const std::string &l1d_spec) {
+        return withL1iPrefetcher(makeSpec(l1d_spec, opt), "next-line-2", [] {
+            return std::make_unique<NextLinePrefetcher>(2);
         });
-        return out;
     };
-
-    auto base = run(false, "ip-stride");
+    // specs[0] is the baseline: IP-stride with no L1I prefetching.
+    const std::vector<PrefetcherSpec> specs = {
+        makeSpec("ip-stride", opt), makeSpec("berti", opt),
+        with_l1i("ip-stride"), with_l1i("berti")};
+    const char *labels[] = {"berti (data only)", "L1I next-line only",
+                            "berti + L1I next-line"};
+    auto grid =
+        runSpecMatrix(opt, workloads, specs, params, "abl_l1i_prefetch");
 
     std::cout << "Front-end study: next-line L1I prefetching on "
                  "CloudSuite (speedup vs IP-stride, no L1I prefetch)\n\n";
     TextTable t({"configuration", "speedup", "L1I-MPKI"});
-    struct Case
-    {
-        const char *label;
-        bool l1i;
-        const char *l1d;
-    };
-    const Case cases[] = {
-        {"berti (data only)", false, "berti"},
-        {"L1I next-line only", true, "ip-stride"},
-        {"berti + L1I next-line", true, "berti"},
-    };
-    for (const Case &c : cases) {
-        auto r = run(c.l1i, c.l1d);
-        t.addRow({c.label,
-                  TextTable::num(suiteSpeedup(workloads, r, base,
+    for (std::size_t s = 1; s < specs.size(); ++s) {
+        t.addRow({labels[s - 1],
+                  TextTable::num(suiteSpeedup(workloads, grid[s], grid[0],
                                               "cloud")),
                   TextTable::num(
-                      suiteMean(workloads, r, "cloud",
-                                [](const SimResult &s) {
-                                    return s.roi.l1i.mpki(
-                                        s.roi.core.instructions);
+                      suiteMean(workloads, grid[s], "cloud",
+                                [](const SimResult &r) {
+                                    return r.roi.l1i.mpki(
+                                        r.roi.core.instructions);
                                 }),
                       1)});
     }

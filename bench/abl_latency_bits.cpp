@@ -8,13 +8,14 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
     const unsigned widths[] = {4u, 12u, 32u};
     std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride")};
@@ -24,7 +25,8 @@ main()
         specs.push_back(
             makeBertiSpec(cfg, "berti-lat" + std::to_string(bits)));
     }
-    auto grid = runSpecMatrix(workloads, specs, params, "abl_latency_bits");
+    auto grid =
+        runSpecMatrix(opt, workloads, specs, params, "abl_latency_bits");
     const auto &base = grid[0];
 
     std::cout << "Ablation (section IV-J): latency-counter width\n\n";

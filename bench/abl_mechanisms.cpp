@@ -12,13 +12,14 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
     std::cout << "Mechanism ablation: Berti without each of its "
                  "pillars (speedup vs IP-stride / L1D accuracy)\n\n";
@@ -41,7 +42,7 @@ main()
     std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride")};
     for (const Variant &v : variants)
         specs.push_back(makeBertiSpec(v.cfg, v.label));
-    auto grid = runSpecMatrix(workloads, specs, params, "abl_mechanisms");
+    auto grid = runSpecMatrix(opt, workloads, specs, params, "abl_mechanisms");
     const auto &base = grid[0];
 
     TextTable t({"variant", "speedup-spec", "speedup-gap", "speedup-all",

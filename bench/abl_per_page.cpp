@@ -10,13 +10,14 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
     std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride")};
     for (bool per_page : {false, true}) {
@@ -25,7 +26,7 @@ main()
         specs.push_back(
             makeBertiSpec(cfg, per_page ? "berti-page" : "berti-ip"));
     }
-    auto grid = runSpecMatrix(workloads, specs, params, "abl_per_page");
+    auto grid = runSpecMatrix(opt, workloads, specs, params, "abl_per_page");
     const auto &base = grid[0];
 
     std::cout << "Heritage: per-IP (MICRO 2022) vs per-page (DPC-3) "

@@ -17,6 +17,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/parallel.hh"
+#include "harness/supervisor.hh"
 #include "harness/table.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
@@ -25,43 +26,30 @@
 namespace berti::bench
 {
 
-/** File-name-safe form of a workload/spec label. */
-inline std::string
-sanitizeLabel(const std::string &label)
-{
-    std::string out;
-    out.reserve(label.size());
-    for (char c : label) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '-' || c == '.' ||
-                  c == '_';
-        out.push_back(ok ? c : '-');
-    }
-    return out.empty() ? std::string("unnamed") : out;
-}
-
 /**
- * When BERTI_STATS_DIR is set, write one machine-diffable JSON sidecar
- * per (spec, workload) cell — <dir>/<spec>__<workload>.json in the
- * stable resultSnapshot() schema. Colliding sanitized names get a
- * numeric suffix so no cell silently overwrites another. Called by
+ * When the options name a stats directory (BERTI_STATS_DIR or
+ * --stats-dir=), write one machine-diffable JSON sidecar per
+ * (spec, workload) cell — <dir>/<spec>__<workload>.json in the stable
+ * resultSnapshot() schema. Colliding sanitized names get a numeric
+ * suffix so no cell silently overwrites another. Called by
  * runSpecMatrix after the pool joins, so results arrive in input order
- * and the sidecar set is identical for every BERTI_JOBS value. A
- * non-empty subdir nests the sidecars one level down (fig24 keeps one
+ * and the sidecar set is identical for every job count. A non-empty
+ * subdir nests the sidecars one level down (fig24 keeps one
  * subdirectory per memory backend so identical spec x workload cells
  * from different backends never collide).
  */
 inline void
-writeStatsSidecars(const std::vector<Workload> &workloads,
+writeStatsSidecars(const sim::SimOptions &opt,
+                   const std::vector<Workload> &workloads,
                    const std::vector<PrefetcherSpec> &specs,
                    const std::vector<std::vector<SimResult>> &grid,
                    const std::string &subdir = "")
 {
-    std::string dir = sim::SimOptions::fromEnv().statsDir;
+    std::string dir = opt.statsDir;
     if (dir.empty())
         return;
     if (!subdir.empty())
-        dir += "/" + sanitizeLabel(subdir);
+        dir += "/" + obs::sanitizeLabel(subdir);
     // A bench killed mid-write leaves a *.json.tmp staging file behind
     // (writeFile renames only on success); sweep them before writing so
     // the sidecar directory holds nothing but complete documents.
@@ -73,8 +61,8 @@ writeStatsSidecars(const std::vector<Workload> &workloads,
     std::map<std::string, unsigned> used;
     for (std::size_t s = 0; s < specs.size(); ++s) {
         for (std::size_t w = 0; w < workloads.size(); ++w) {
-            std::string stem = sanitizeLabel(specs[s].name) + "__" +
-                               sanitizeLabel(workloads[w].name);
+            std::string stem = obs::sanitizeLabel(specs[s].name) + "__" +
+                               obs::sanitizeLabel(workloads[w].name);
             unsigned n = used[stem]++;
             if (n > 0)
                 stem += "." + std::to_string(n);
@@ -93,7 +81,7 @@ writeStatsSidecars(const std::vector<Workload> &workloads,
  * resolveWorkload and abort the bench loudly.
  */
 inline std::vector<Workload>
-extraTraceWorkloads(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
+extraTraceWorkloads(const sim::SimOptions &opt)
 {
     std::vector<Workload> out;
     for (std::string name : sim::splitTopLevel(opt.traceWorkloads, ',')) {
@@ -109,9 +97,10 @@ extraTraceWorkloads(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
  *  BERTI_SAMPLE_WINDOWS=N (or --sample-windows=N) to replace the long
  *  measurement region with N sampled windows — every bench then
  *  regenerates its figure from windowed samples at a fraction of the
- *  simulated instructions, stored under distinct result-store keys. */
+ *  simulated instructions, stored under distinct result-store keys.
+ *  The memory backend and --verify ride along (SimParams::applyOptions). */
 inline SimParams
-defaultParams(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
+defaultParams(const sim::SimOptions &opt)
 {
     SimParams p;
     p.warmupInstructions = 40000;
@@ -120,54 +109,52 @@ defaultParams(const sim::SimOptions &opt = sim::SimOptions::fromEnv())
         p.warmupInstructions = 10000;
         p.measureInstructions = 40000;
     }
-    if (opt.sampleWindows > 0) {
-        p.sampling.windowCount = opt.sampleWindows;
-        p.sampling.windowWarmup = opt.sampleWarmup;
-        p.sampling.windowMeasure = opt.sampleMeasure;
-        p.sampling.windowStride = opt.sampleStride;
-        // Sampling exists to cut simulated instructions; the global
-        // warmup shrinks with it (windows re-warm locally).
+    // Sampling exists to cut simulated instructions; the global warmup
+    // shrinks with it (windows re-warm locally).
+    if (opt.sampleWindows > 0)
         p.warmupInstructions = opt.benchQuick ? 4000 : 8000;
-    }
-    // BERTI_MEM_BACKEND / --mem-backend= flows into every bench cell;
-    // paramsFingerprint keys non-default backends separately.
-    p.memBackend = opt.memBackend;
+    p.applyOptions(opt);
     return p;
 }
 
 /**
- * Run every (spec, workload) cell through the parallel worker pool
- * (BERTI_JOBS / hardware_concurrency), with thread-safe progress on
- * stderr. out[s][w] corresponds to specs[s] on workloads[w]; ordering
- * matches the inputs regardless of thread count.
+ * Run every (spec, workload) cell through runSupervisedMatrix on the
+ * options' pool size (BERTI_JOBS / --jobs, else hardware_concurrency),
+ * with thread-safe progress on stderr, then write the stats sidecars.
+ * out[s][w] corresponds to specs[s] on workloads[w]; ordering matches
+ * the inputs regardless of thread count. Each cell runs once: a failure
+ * rethrows the lowest-index failed cell's original exception.
  */
 inline std::vector<std::vector<SimResult>>
-runSpecMatrix(const std::vector<Workload> &workloads,
+runSpecMatrix(const sim::SimOptions &opt,
+              const std::vector<Workload> &workloads,
               const std::vector<PrefetcherSpec> &specs,
               const SimParams &params, const std::string &label = "matrix",
               const std::string &sidecarSubdir = "")
 {
-    auto grid = runMatrixParallel(workloads, specs, params, /*jobs=*/0,
-                                  stderrProgress(label));
-    writeStatsSidecars(workloads, specs, grid, sidecarSubdir);
+    harness::SupervisorConfig sup;
+    sup.maxAttempts = 1;
+    sup.jobs = opt.jobs;
+    sup.progress = stderrProgress(label);
+    auto grid =
+        harness::runSupervisedMatrix(workloads, specs, params, sup).results();
+    writeStatsSidecars(opt, workloads, specs, grid, sidecarSubdir);
     return grid;
 }
 
-/** spec-name -> per-workload results, scheduled on the parallel pool. */
+/** spec-name -> per-workload results; hybrid specs pick up the options'
+ *  selector geometry and canonicalize their recorded names. */
 inline std::map<std::string, std::vector<SimResult>>
-runMatrix(const std::vector<Workload> &workloads,
+runMatrix(const sim::SimOptions &opt, const std::vector<Workload> &workloads,
           const std::vector<std::string> &spec_names,
           const SimParams &params)
 {
-    // Options-aware: hybrid specs pick up BERTI_HYBRID_* geometry and
-    // canonicalize their recorded names.
-    const sim::SimOptions opt = sim::SimOptions::fromEnv();
     std::vector<PrefetcherSpec> specs;
     specs.reserve(spec_names.size());
     for (const auto &name : spec_names)
         specs.push_back(makeSpec(name, opt));
 
-    auto grid = runSpecMatrix(workloads, specs, params,
+    auto grid = runSpecMatrix(opt, workloads, specs, params,
                               std::to_string(spec_names.size()) +
                                   " specs x " +
                                   std::to_string(workloads.size()) +
@@ -259,9 +246,10 @@ trafficBelow(const CacheStats &c)
 }
 
 inline double
-storageKb(const std::string &spec_name)
+storageKb(const sim::SimOptions &opt, const std::string &spec_name)
 {
-    return static_cast<double>(makeSpec(spec_name).storageBits) / 8192.0;
+    return static_cast<double>(makeSpec(spec_name, opt).storageBits) /
+           8192.0;
 }
 
 } // namespace berti::bench

@@ -12,13 +12,14 @@
 #include "prefetch/bop.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     const Workload &w = findWorkload("mcf-like.1554");
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
     // Run Berti and BOP as two parallel jobs, keeping each machine
     // alive so its prefetcher tables can be dumped afterwards.
@@ -68,7 +69,7 @@ main()
 
     // Coverage comparison (paper: BOP covers ~2% of mcf accesses).
     auto grid = runSpecMatrix(
-        {w}, {makeSpec("berti"), makeSpec("bop"), makeSpec("none")},
+        opt, {w}, {makeSpec("berti"), makeSpec("bop"), makeSpec("none")},
         params, "fig03 coverage");
     const SimResult &rb = grid[0][0];
     const SimResult &rg = grid[1][0];

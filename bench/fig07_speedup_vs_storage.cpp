@@ -9,19 +9,20 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
     const std::vector<std::string> specs = {
         "ip-stride",   "mlop",        "ipcp",         "berti",
         "none+spp-ppf", "none+bingo", "mlop+bingo",   "mlop+spp-ppf",
         "berti+bingo", "berti+spp-ppf", "ipcp+ipcp",
     };
-    auto m = runMatrix(workloads, specs, params);
+    auto m = runMatrix(opt, workloads, specs, params);
 
     std::cout << "Figure 7: speedup vs storage (baseline: L1D "
                  "IP-stride)\n\n";
@@ -37,7 +38,7 @@ main()
     for (const auto &name : specs) {
         double s =
             suiteSpeedup(workloads, m[name], m["ip-stride"], "");
-        t.addRow({name, kind(name), TextTable::num(storageKb(name), 2),
+        t.addRow({name, kind(name), TextTable::num(storageKb(opt, name), 2),
                   TextTable::num(s)});
     }
     t.print(std::cout);

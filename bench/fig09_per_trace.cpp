@@ -7,18 +7,19 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
     // Real ChampSim traces requested via BERTI_TRACE_WORKLOADS ride
     // along as extra per-trace rows (suite "file").
-    for (auto &w : extraTraceWorkloads())
+    for (auto &w : extraTraceWorkloads(opt))
         workloads.push_back(std::move(w));
-    SimParams params = defaultParams();
-    auto m = runMatrix(workloads, {"ip-stride", "mlop", "ipcp", "berti"},
+    SimParams params = defaultParams(opt);
+    auto m = runMatrix(opt, workloads, {"ip-stride", "mlop", "ipcp", "berti"},
                        params);
 
     std::cout << "Figure 9: per-trace speedup vs IP-stride\n\n";

@@ -7,14 +7,15 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
-    auto m = runMatrix(workloads, {"mlop", "ipcp", "berti"}, params);
+    SimParams params = defaultParams(opt);
+    auto m = runMatrix(opt, workloads, {"mlop", "ipcp", "berti"}, params);
 
     std::cout << "Figure 10: prefetch accuracy at the L1D (useful = "
                  "timely + late)\n\n";

@@ -7,14 +7,15 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
-    auto m = runMatrix(workloads,
+    SimParams params = defaultParams(opt);
+    auto m = runMatrix(opt, workloads,
                        {"none", "ip-stride", "mlop", "ipcp", "berti"},
                        params);
 

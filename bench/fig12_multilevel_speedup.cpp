@@ -7,18 +7,19 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
     const std::vector<std::string> specs = {
         "ip-stride",  "berti",        "mlop+bingo", "mlop+spp-ppf",
         "berti+bingo", "berti+spp-ppf", "ipcp+ipcp",
     };
-    auto m = runMatrix(workloads, specs, params);
+    auto m = runMatrix(opt, workloads, specs, params);
 
     std::cout << "Figure 12: multi-level prefetching speedup vs "
                  "IP-stride\n\n";

@@ -8,19 +8,20 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
     std::cout << "Figure 16: L1D prefetchers under constrained DRAM "
                  "bandwidth (speedup vs IP-stride at same MTPS)\n\n";
     TextTable t({"prefetcher", "MTPS", "SPEC17", "GAP", "all"});
     for (unsigned mtps : {6400u, 3200u, 1600u}) {
-        SimParams params = defaultParams();
+        SimParams params = defaultParams(opt);
         params.dramMtps = mtps;
-        auto m = runMatrix(workloads,
+        auto m = runMatrix(opt, workloads,
                            {"ip-stride", "mlop", "ipcp", "berti"},
                            params);
         for (const char *name : {"mlop", "ipcp", "berti"}) {

@@ -9,18 +9,19 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = suiteWorkloads("cloud");
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
     const std::vector<std::string> specs = {
         "ip-stride", "mlop", "ipcp", "berti",
         "mlop+bingo", "berti+spp-ppf",
     };
-    auto m = runMatrix(workloads, specs, params);
+    auto m = runMatrix(opt, workloads, specs, params);
 
     std::cout << "Figure 18: CloudSuite speedup vs IP-stride\n\n";
     TextTable t({"workload", "MLOP", "IPCP", "Berti", "MLOP+Bingo",

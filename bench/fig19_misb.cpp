@@ -9,12 +9,13 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
     const std::vector<std::string> specs = {
         "ip-stride",  "mlop",      "ipcp",      "berti",
         "mlop+misb", "ipcp+misb", "berti+misb", "berti+spp-ppf",
@@ -26,8 +27,8 @@ main()
 
     auto cloud = suiteWorkloads("cloud");
     auto specgap = specGapWorkloads();
-    auto mc = runMatrix(cloud, specs, params);
-    auto ms = runMatrix(specgap, specs, params);
+    auto mc = runMatrix(opt, cloud, specs, params);
+    auto ms = runMatrix(opt, specgap, specs, params);
 
     for (const auto &name : specs) {
         if (name == "ip-stride")

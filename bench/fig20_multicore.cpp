@@ -10,10 +10,11 @@
 #include "sim/rng.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     const unsigned kMixes = 8;
     const unsigned kCores = 4;
@@ -28,7 +29,7 @@ main()
         mixes.push_back(mix);
     }
 
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
     params.warmupInstructions /= 2;   // 4 cores: keep runtime sane
     params.measureInstructions /= 2;
 
@@ -44,9 +45,9 @@ main()
     // grid[spec][mix] holds the per-core results in input order.
     std::vector<PrefetcherSpec> spec_objs;
     for (const auto &name : specs)
-        spec_objs.push_back(makeSpec(name));
-    std::vector<std::vector<std::vector<SimResult>>> grid(
-        specs.size(), std::vector<std::vector<SimResult>>(mixes.size()));
+        spec_objs.push_back(makeSpec(name, opt));
+    std::vector<std::vector<std::vector<SampledResult>>> grid(
+        specs.size(), std::vector<std::vector<SampledResult>>(mixes.size()));
     forEachIndexParallel(
         specs.size() * mixes.size(),
         [&](std::size_t cell) {
@@ -54,7 +55,7 @@ main()
             std::size_t mi = cell % mixes.size();
             grid[s][mi] = simulateMix(mixes[mi], spec_objs[s], params);
         },
-        /*jobs=*/0, stderrProgress("fig20 mixes"));
+        opt.jobs, stderrProgress("fig20 mixes"));
 
     // speedups[spec][mix]
     std::map<std::string, std::vector<double>> speedups;
@@ -64,7 +65,8 @@ main()
         for (std::size_t mi = 0; mi < mixes.size(); ++mi) {
             std::vector<double> ratio;
             for (unsigned c = 0; c < kCores; ++c)
-                ratio.push_back(grid[s][mi][c].ipc / grid[0][mi][c].ipc);
+                ratio.push_back(grid[s][mi][c].aggregate.ipc /
+                                grid[0][mi][c].aggregate.ipc);
             speedups[specs[s]].push_back(
                 geomean(ratio.data(), ratio.size()));
         }

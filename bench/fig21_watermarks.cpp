@@ -9,10 +9,11 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     const char *subset[] = {"stream-like.1", "lbm-like.2676",
                             "mcf-like.1554", "bwaves-like.1740",
@@ -21,7 +22,7 @@ main()
     for (const char *n : subset)
         workloads.push_back(findWorkload(n));
 
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
     const double l1_wms[] = {0.35, 0.50, 0.65, 0.80, 0.95};
     const double l2_wms[] = {0.20, 0.35, 0.50};
@@ -35,7 +36,7 @@ main()
             specs.push_back(makeBertiSpec(cfg));
         }
     }
-    auto grid = runSpecMatrix(workloads, specs, params, "fig21");
+    auto grid = runSpecMatrix(opt, workloads, specs, params, "fig21");
     const auto &base = grid[0];
 
     std::cout << "Figure 21: speedup vs IP-stride for L1/L2 coverage "

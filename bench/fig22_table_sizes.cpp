@@ -8,10 +8,11 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     const char *subset[] = {"stream-like.1", "lbm-like.2676",
                             "mcf-like.1554", "bwaves-like.1740",
@@ -20,7 +21,7 @@ main()
     for (const char *n : subset)
         workloads.push_back(findWorkload(n));
 
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
 
     const double scales[] = {0.25, 0.5, 1.0, 2.0, 4.0};
     std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride")};
@@ -35,7 +36,7 @@ main()
         for (const BertiConfig &cfg : {hist, dtab, ndel})
             specs.push_back(makeBertiSpec(cfg));
     }
-    auto grid = runSpecMatrix(workloads, specs, params, "fig22");
+    auto grid = runSpecMatrix(opt, workloads, specs, params, "fig22");
     const auto &base = grid[0];
 
     std::cout << "Figure 22: speedup vs size of the Berti tables "

@@ -40,11 +40,11 @@ main(int argc, char **argv)
     auto specgap = specGapWorkloads();
     auto extra = extraTraceWorkloads(opt);
 
-    auto mc = runMatrix(cloud, specs, params);
-    auto ms = runMatrix(specgap, specs, params);
+    auto mc = runMatrix(opt, cloud, specs, params);
+    auto ms = runMatrix(opt, specgap, specs, params);
     std::map<std::string, std::vector<SimResult>> mx;
     if (!extra.empty())
-        mx = runMatrix(extra, specs, params);
+        mx = runMatrix(opt, extra, specs, params);
 
     std::vector<std::string> header = {"configuration", "cloud",
                                        "spec+gap"};
@@ -66,7 +66,7 @@ main(int argc, char **argv)
             row.push_back(TextTable::num(
                 suiteSpeedup(extra, mx[name], mx["none"], "")));
         }
-        row.push_back(TextTable::num(storageKb(name)));
+        row.push_back(TextTable::num(storageKb(opt, name)));
         t.addRow(row);
     }
     t.print(std::cout);

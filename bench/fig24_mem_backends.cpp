@@ -61,7 +61,7 @@ main(int argc, char **argv)
         for (const auto &name : spec_names)
             specs.push_back(makeSpec(name, opt));
 
-        auto grid = runSpecMatrix(workloads, specs, params,
+        auto grid = runSpecMatrix(opt, workloads, specs, params,
                                   parsed.canonical, parsed.canonical);
         std::map<std::string, std::vector<SimResult>> m;
         for (std::size_t s = 0; s < specs.size(); ++s)

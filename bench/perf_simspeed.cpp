@@ -237,8 +237,8 @@ main(int argc, char **argv)
                                            on.cycles
                                      : 0.0));
 
-            std::string prefix =
-                sanitizeLabel(c.cls) + "." + sanitizeLabel(spec_name);
+            std::string prefix = obs::sanitizeLabel(c.cls) + "." +
+                                 obs::sanitizeLabel(spec_name);
             recordGauges(snap, prefix + ".skip_off.", off);
             recordGauges(snap, prefix + ".skip_on.", on);
             snap.setGauge(prefix + ".skip_speedup", speedup);

@@ -8,18 +8,19 @@
 #include "common.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
+    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
 
     auto workloads = specGapWorkloads();
-    SimParams params = defaultParams();
+    SimParams params = defaultParams(opt);
     const std::vector<std::string> specs = {
         "ip-stride", "stream",      "none+sms",   "none+vldp",
         "none+misb", "none+pythia", "berti",
     };
-    auto m = runMatrix(workloads, specs, params);
+    auto m = runMatrix(opt, workloads, specs, params);
 
     std::cout << "Related work (section V): speedup vs IP-stride and "
                  "L1D accuracy\n\n";
@@ -35,7 +36,7 @@ main()
                                               m["ip-stride"], "gap")),
                   TextTable::num(suiteSpeedup(workloads, m[name],
                                               m["ip-stride"], "")),
-                  TextTable::num(storageKb(name), 2)});
+                  TextTable::num(storageKb(opt, name), 2)});
     }
     t.print(std::cout);
     return 0;

@@ -22,25 +22,16 @@ bitsOf(const PrefetcherFactory &f)
     return f ? f()->storageBits() : 0;
 }
 
-/**
- * The level separator of a combo like "mlop+bingo" is the '+' at paren
- * depth 0 (the shared paren-aware splitter, so a '+' inside a
- * hybrid(...) child list belongs to the spec — none today, but the
- * split must not bite into one if the grammar grows it).
- */
-std::size_t
-topLevelPlus(const std::string &combo)
-{
-    return sim::findTopLevel(combo, '+');
-}
-
 PrefetcherSpec
 makeSpecImpl(const std::string &combo, const sim::SimOptions *opt)
 {
     PrefetcherSpec spec;
     std::string l1_name = combo;
     std::string l2_name;
-    auto plus = topLevelPlus(combo);
+    // The level separator of a combo like "mlop+bingo" is the '+' at
+    // paren depth 0, so a '+' inside a hybrid(...) child list would
+    // belong to the spec.
+    auto plus = sim::findTopLevel(combo, '+');
     if (plus != std::string::npos) {
         l1_name = combo.substr(0, plus);
         l2_name = combo.substr(plus + 1);
@@ -81,6 +72,7 @@ machineConfigFor(const PrefetcherSpec &spec, const SimParams &params,
         cfg.dram.mtps = params.dramMtps;
     cfg.l1dPrefetcher = spec.l1d;
     cfg.l2Prefetcher = spec.l2;
+    cfg.l1iPrefetcher = spec.l1i;
     if (params.forceAudit)
         cfg.audit.enabled = true;
     cfg.faults = params.faults;
@@ -155,6 +147,103 @@ computeDispersion(SampledResult &s)
     }
 }
 
+/**
+ * The one measurement loop behind every simulate entry point: global
+ * warmup (or a checkpoint restore in its place), then per window an
+ * optional checkpoint, the window warmup, the measured region and the
+ * gap to the next window. A full run is the one-window geometry with
+ * no window warmup that measures measureInstructions; a resume
+ * re-measures a single window. Returns one SampledResult per core.
+ */
+std::vector<SampledResult>
+runCell(const std::vector<Workload> &workloads, const PrefetcherSpec &spec,
+        const SimParams &params, const std::string &resumePath = "")
+{
+    SampleGeometry g = params.sampling;
+    if (g.enabled()) {
+        validateGeometry(g);
+    } else {
+        g = SampleGeometry{};
+        g.windowCount = 1;
+        g.windowWarmup = 0;
+        g.windowMeasure = params.measureInstructions;
+    }
+    if (!resumePath.empty()) {
+        g.windowCount = 1;
+        g.checkpointDir.clear();
+    }
+    const unsigned cores = static_cast<unsigned>(workloads.size());
+    if (!g.checkpointDir.empty() && cores > 1) {
+        throw verify::SimError(
+            verify::ErrorKind::Config, "experiment",
+            "per-window checkpoints are single-core only: "
+            "resumeSampledWindow cannot rebuild a mix machine");
+    }
+
+    std::vector<std::unique_ptr<TraceGenerator>> gens;
+    std::vector<TraceGenerator *> gen_ptrs;
+    for (const Workload &w : workloads) {
+        gens.push_back(w.make());
+        gen_ptrs.push_back(gens.back().get());
+    }
+    Machine machine(machineConfigFor(spec, params, cores), gen_ptrs);
+
+    if (!g.checkpointDir.empty()) {
+        std::string why;
+        if (!machine.checkpointSupported(&why)) {
+            throw verify::SimError(
+                verify::ErrorKind::Checkpoint, "experiment",
+                "sampling checkpointDir is set but this machine cannot "
+                "checkpoint: " + why);
+        }
+    }
+
+    // A mix measures each core up to the moment it reached its target
+    // (the paper's multi-core methodology); a lone core's live stats are
+    // that same moment, and stay valid right after a checkpoint restore.
+    auto stats = [&](unsigned c) {
+        return cores == 1 ? machine.liveStats(0) : machine.coreSnapshot(c);
+    };
+
+    if (resumePath.empty())
+        machine.run(params.warmupInstructions);
+    else
+        machine.resumeFrom(resumePath);
+
+    std::vector<SampledResult> out(cores);
+    const std::uint64_t gap = g.stride() - (g.windowWarmup + g.windowMeasure);
+    for (unsigned k = 0; k < g.windowCount; ++k) {
+        // Window boundary: persist the warm microarchitectural state so
+        // this window can be re-simulated in isolation later.
+        if (!g.checkpointDir.empty())
+            machine.saveCheckpoint(windowCheckpointPath(g.checkpointDir, k));
+        if (g.windowWarmup > 0)
+            machine.run(g.windowWarmup);
+        std::vector<RunStats> start;
+        for (unsigned c = 0; c < cores; ++c)
+            start.push_back(stats(c));
+        machine.run(g.windowMeasure);
+        for (unsigned c = 0; c < cores; ++c) {
+            out[c].windowStartInstruction.push_back(
+                start[c].core.instructions);
+            out[c].windows.push_back(finishResult(stats(c).diff(start[c])));
+        }
+        // Simulated-but-unmeasured gap to the next window start.
+        if (k + 1 < g.windowCount && gap > 0)
+            machine.run(gap);
+    }
+
+    for (unsigned c = 0; c < cores; ++c) {
+        SampledResult &s = out[c];
+        for (const SimResult &w : s.windows)
+            s.aggregate.roi.add(w.roi);
+        s.aggregate = finishResult(s.aggregate.roi);
+        s.instructionsSimulated = machine.liveStats(c).core.instructions;
+        computeDispersion(s);
+    }
+    return out;
+}
+
 } // namespace
 
 PrefetcherSpec
@@ -177,6 +266,26 @@ makeBertiSpec(const BertiConfig &cfg, const std::string &label)
     spec.l1d = [cfg] { return std::make_unique<BertiPrefetcher>(cfg); };
     spec.storageBits = bitsOf(spec.l1d);
     return spec;
+}
+
+PrefetcherSpec
+withL1iPrefetcher(PrefetcherSpec spec, const std::string &label,
+                  PrefetcherFactory l1i)
+{
+    spec.name += ";l1i=" + label;
+    spec.l1i = std::move(l1i);
+    return spec;
+}
+
+void
+SimParams::applyOptions(const sim::SimOptions &opt)
+{
+    sampling.windowCount = opt.sampleWindows;
+    sampling.windowWarmup = opt.sampleWarmup;
+    sampling.windowMeasure = opt.sampleMeasure;
+    sampling.windowStride = opt.sampleStride;
+    memBackend = opt.memBackend;
+    forceAudit = forceAudit || opt.verify;
 }
 
 obs::MetricsSnapshot
@@ -206,130 +315,22 @@ SimResult
 simulate(const Workload &workload, const PrefetcherSpec &spec,
          const SimParams &params)
 {
-    if (params.sampling.enabled())
-        return simulateSampled(workload, spec, params).aggregate;
-
-    auto gen = workload.make();
-    MachineConfig cfg = machineConfigFor(spec, params, 1);
-
-    Machine machine(cfg, {gen.get()});
-    machine.run(params.warmupInstructions);
-    RunStats start = machine.liveStats(0);
-    machine.run(params.measureInstructions);
-    RunStats end = machine.liveStats(0);
-    return finishResult(end.diff(start));
+    return runCell({workload}, spec, params)[0].aggregate;
 }
 
 SampledResult
 simulateSampled(const Workload &workload, const PrefetcherSpec &spec,
                 const SimParams &params)
 {
-    const SampleGeometry &g = params.sampling;
-    validateGeometry(g);
-
-    auto gen = workload.make();
-    MachineConfig cfg = machineConfigFor(spec, params, 1);
-    Machine machine(cfg, {gen.get()});
-
-    if (!g.checkpointDir.empty()) {
-        std::string why;
-        if (!machine.checkpointSupported(&why)) {
-            throw verify::SimError(
-                verify::ErrorKind::Checkpoint, "experiment",
-                "sampling checkpointDir is set but this machine cannot "
-                "checkpoint: " + why);
-        }
-    }
-
-    machine.run(params.warmupInstructions);
-
-    SampledResult out;
-    out.windows.reserve(g.windowCount);
-    out.windowStartInstruction.reserve(g.windowCount);
-    const std::uint64_t window_span = g.windowWarmup + g.windowMeasure;
-    for (unsigned k = 0; k < g.windowCount; ++k) {
-        // Window boundary: persist the warm microarchitectural state so
-        // this window can be re-simulated in isolation later.
-        if (!g.checkpointDir.empty())
-            machine.saveCheckpoint(windowCheckpointPath(g.checkpointDir, k));
-
-        if (g.windowWarmup > 0)
-            machine.run(g.windowWarmup);
-        RunStats start = machine.liveStats(0);
-        out.windowStartInstruction.push_back(start.core.instructions);
-        machine.run(g.windowMeasure);
-        RunStats end = machine.liveStats(0);
-        out.windows.push_back(finishResult(end.diff(start)));
-
-        // Simulated-but-unmeasured gap to the next window start.
-        std::uint64_t gap = g.stride() - window_span;
-        if (k + 1 < g.windowCount && gap > 0)
-            machine.run(gap);
-    }
-
-    for (const SimResult &w : out.windows)
-        out.aggregate.roi.add(w.roi);
-    out.aggregate = finishResult(out.aggregate.roi);
-    out.instructionsSimulated = machine.liveStats(0).core.instructions;
-    computeDispersion(out);
-    return out;
+    validateGeometry(params.sampling);
+    return runCell({workload}, spec, params)[0];
 }
 
 std::vector<SampledResult>
-simulateMixSampled(const std::vector<Workload> &mix,
-                   const PrefetcherSpec &spec, const SimParams &params)
+simulateMix(const std::vector<Workload> &mix, const PrefetcherSpec &spec,
+            const SimParams &params)
 {
-    const SampleGeometry &g = params.sampling;
-    validateGeometry(g);
-    if (!g.checkpointDir.empty()) {
-        throw verify::SimError(
-            verify::ErrorKind::Config, "experiment",
-            "per-window checkpoints are single-core only: "
-            "resumeSampledWindow cannot rebuild a mix machine");
-    }
-
-    MachineConfig cfg = machineConfigFor(
-        spec, params, static_cast<unsigned>(mix.size()));
-
-    std::vector<std::unique_ptr<TraceGenerator>> gens;
-    std::vector<TraceGenerator *> gen_ptrs;
-    for (const auto &w : mix) {
-        gens.push_back(w.make());
-        gen_ptrs.push_back(gens.back().get());
-    }
-
-    Machine machine(cfg, gen_ptrs);
-    machine.run(params.warmupInstructions);
-
-    std::vector<SampledResult> out(mix.size());
-    const std::uint64_t window_span = g.windowWarmup + g.windowMeasure;
-    for (unsigned k = 0; k < g.windowCount; ++k) {
-        if (g.windowWarmup > 0)
-            machine.run(g.windowWarmup);
-        std::vector<RunStats> start;
-        for (unsigned c = 0; c < mix.size(); ++c)
-            start.push_back(machine.coreSnapshot(c));
-        machine.run(g.windowMeasure);
-        for (unsigned c = 0; c < mix.size(); ++c) {
-            RunStats roi = machine.coreSnapshot(c).diff(start[c]);
-            out[c].windowStartInstruction.push_back(
-                start[c].core.instructions);
-            out[c].windows.push_back(finishResult(roi));
-        }
-        std::uint64_t gap = g.stride() - window_span;
-        if (k + 1 < g.windowCount && gap > 0)
-            machine.run(gap);
-    }
-
-    for (unsigned c = 0; c < mix.size(); ++c) {
-        for (const SimResult &w : out[c].windows)
-            out[c].aggregate.roi.add(w.roi);
-        out[c].aggregate = finishResult(out[c].aggregate.roi);
-        out[c].instructionsSimulated =
-            machine.liveStats(c).core.instructions;
-        computeDispersion(out[c]);
-    }
-    return out;
+    return runCell(mix, spec, params);
 }
 
 SimResult
@@ -338,18 +339,7 @@ resumeSampledWindow(const Workload &workload, const PrefetcherSpec &spec,
                     const std::string &checkpointPath)
 {
     validateGeometry(params.sampling);
-
-    auto gen = workload.make();
-    MachineConfig cfg = machineConfigFor(spec, params, 1);
-    Machine machine(cfg, {gen.get()});
-    machine.resumeFrom(checkpointPath);
-
-    if (params.sampling.windowWarmup > 0)
-        machine.run(params.sampling.windowWarmup);
-    RunStats start = machine.liveStats(0);
-    machine.run(params.sampling.windowMeasure);
-    RunStats end = machine.liveStats(0);
-    return finishResult(end.diff(start));
+    return runCell({workload}, spec, params, checkpointPath)[0].windows[0];
 }
 
 SampledError
@@ -366,54 +356,6 @@ sampledVsFull(const SampledResult &sampled, const SimResult &full)
     e.accuracyAbs = std::abs(sampled.aggregate.roi.l1d.accuracy() -
                              full.roi.l1d.accuracy());
     return e;
-}
-
-std::vector<SimResult>
-simulateMix(const std::vector<Workload> &mix, const PrefetcherSpec &spec,
-            const SimParams &params)
-{
-    if (params.sampling.enabled()) {
-        std::vector<SampledResult> sampled =
-            simulateMixSampled(mix, spec, params);
-        std::vector<SimResult> out;
-        out.reserve(sampled.size());
-        for (SampledResult &s : sampled)
-            out.push_back(std::move(s.aggregate));
-        return out;
-    }
-
-    MachineConfig cfg = machineConfigFor(
-        spec, params, static_cast<unsigned>(mix.size()));
-
-    std::vector<std::unique_ptr<TraceGenerator>> gens;
-    std::vector<TraceGenerator *> gen_ptrs;
-    for (const auto &w : mix) {
-        gens.push_back(w.make());
-        gen_ptrs.push_back(gens.back().get());
-    }
-
-    Machine machine(cfg, gen_ptrs);
-    machine.run(params.warmupInstructions);
-    std::vector<RunStats> start;
-    for (unsigned c = 0; c < mix.size(); ++c)
-        start.push_back(machine.coreSnapshot(c));
-    machine.run(params.measureInstructions);
-
-    std::vector<SimResult> out;
-    for (unsigned c = 0; c < mix.size(); ++c)
-        out.push_back(finishResult(machine.coreSnapshot(c).diff(start[c])));
-    return out;
-}
-
-std::vector<SimResult>
-runSuite(const std::vector<Workload> &workloads,
-         const PrefetcherSpec &spec, const SimParams &params)
-{
-    std::vector<SimResult> out;
-    out.reserve(workloads.size());
-    for (const auto &w : workloads)
-        out.push_back(simulate(w, spec, params));
-    return out;
 }
 
 double

@@ -36,6 +36,9 @@ struct PrefetcherSpec
     std::string name;
     PrefetcherFactory l1d;   //!< null = none
     PrefetcherFactory l2;    //!< null = none
+    /** Instruction-side prefetcher; null = none. Set it through
+     *  withL1iPrefetcher so its presence shows in the name. */
+    PrefetcherFactory l1i;
     std::uint64_t storageBits = 0;
 };
 
@@ -62,6 +65,15 @@ PrefetcherSpec makeSpec(const std::string &combo,
 /** Berti with a custom configuration (sensitivity benches). */
 PrefetcherSpec makeBertiSpec(const BertiConfig &cfg,
                              const std::string &label = "berti");
+
+/**
+ * spec plus an L1I prefetcher. The label joins the name
+ * ("<spec>;l1i=<label>"), so cells with and without it never share a
+ * result-store key or a stats sidecar.
+ */
+PrefetcherSpec withL1iPrefetcher(PrefetcherSpec spec,
+                                 const std::string &label,
+                                 PrefetcherFactory l1i);
 
 /** Result of one single-core simulation region of interest. */
 struct SimResult
@@ -160,6 +172,14 @@ struct SimParams
      *  supervised sweep turns that into a quarantined cell instead of a
      *  hung matrix. */
     std::uint64_t wallClockBudgetMs = 0;
+
+    /**
+     * Take the sampling geometry, the memory backend and --verify
+     * (as forceAudit) from parsed options: the one mapping from
+     * SimOptions onto SimParams, shared by the benches and sweep_tool.
+     * Disabled sampling (sampleWindows 0) leaves the geometry inert.
+     */
+    void applyOptions(const sim::SimOptions &opt);
 };
 
 /**
@@ -181,27 +201,11 @@ obs::MetricsSnapshot resultSnapshot(const SimResult &result);
 SimResult resultFromSnapshot(const obs::MetricsSnapshot &snap);
 
 /**
- * Run one workload on the Table II machine with the given spec. When
- * params.sampling is enabled this is simulateSampled(...).aggregate —
- * every caller of simulate() (benches, supervisor, parallel matrices)
- * gets windowed sampling by flipping the params, with the result-store
- * key diverging automatically via paramsFingerprint().
- */
-SimResult simulate(const Workload &workload, const PrefetcherSpec &spec,
-                   const SimParams &params = {});
-
-/** Multi-core: one workload per core, shared LLC/DRAM. Sampling-aware
- *  like simulate(): enabled sampling aggregates per-core windows. */
-std::vector<SimResult> simulateMix(const std::vector<Workload> &mix,
-                                   const PrefetcherSpec &spec,
-                                   const SimParams &params = {});
-
-/**
- * One windowed-sampling run (params.sampling must be enabled): the
- * per-window ROI results, their aggregate (a drop-in SimResult whose
- * counters are the component-wise sum over the measured windows), and
- * the dispersion statistics that turn the window sample into an error
- * estimate for the full-run value.
+ * One simulation as measurement windows (a full run is one window):
+ * the per-window ROI results, their aggregate (a drop-in SimResult
+ * whose counters are the component-wise sum over the measured windows),
+ * and the dispersion statistics that turn the window sample into an
+ * error estimate for the full-run value.
  */
 struct SampledResult
 {
@@ -235,6 +239,16 @@ struct SampledResult
 };
 
 /**
+ * Run one workload on the Table II machine with the given spec. When
+ * params.sampling is enabled this is simulateSampled(...).aggregate —
+ * every caller of simulate() (benches, the supervisor) gets windowed
+ * sampling by flipping the params, with the result-store key diverging
+ * automatically via paramsFingerprint().
+ */
+SimResult simulate(const Workload &workload, const PrefetcherSpec &spec,
+                   const SimParams &params = {});
+
+/**
  * Windowed-sampling simulation of one workload. Throws
  * verify::SimError(ErrorKind::Config) on a degenerate geometry
  * (no windows, empty measured region, stride shorter than a window)
@@ -245,11 +259,14 @@ SampledResult simulateSampled(const Workload &workload,
                               const PrefetcherSpec &spec,
                               const SimParams &params);
 
-/** Multi-core windowed sampling: out[i] is core i's SampledResult over
- *  the shared-machine windows (snapshots via Machine::coreSnapshot). */
-std::vector<SampledResult> simulateMixSampled(
-    const std::vector<Workload> &mix, const PrefetcherSpec &spec,
-    const SimParams &params);
+/**
+ * Multi-core: one workload per core, shared LLC/DRAM. out[i] is core
+ * i's result (snapshots via Machine::coreSnapshot); a full run is one
+ * window, so .aggregate is the per-core region of interest either way.
+ */
+std::vector<SampledResult> simulateMix(const std::vector<Workload> &mix,
+                                       const PrefetcherSpec &spec,
+                                       const SimParams &params = {});
 
 /**
  * Re-simulate one measurement window in isolation from the warm-state
@@ -275,11 +292,6 @@ struct SampledError
 /** Compare a sampled aggregate against a full-run reference result. */
 SampledError sampledVsFull(const SampledResult &sampled,
                            const SimResult &full);
-
-/** results[i] = simulate(workloads[i], spec). */
-std::vector<SimResult> runSuite(const std::vector<Workload> &workloads,
-                                const PrefetcherSpec &spec,
-                                const SimParams &params = {});
 
 /**
  * Geometric-mean speedup of test over baseline, element-wise. The two

@@ -1,15 +1,13 @@
 #include "harness/parallel.hh"
 
 #include <atomic>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "sim/options.hh"
-#include "verify/sim_error.hh"
 
 namespace berti
 {
@@ -41,96 +39,39 @@ forEachIndexParallel(std::size_t total,
     // does not depend on the schedule.
     std::vector<std::exception_ptr> failures(total);
 
-    if (pool <= 1) {
-        for (std::size_t i = 0; i < total; ++i) {
+    // A pool of one is the serial order: its single worker takes the
+    // indices in sequence.
+    std::atomic<std::size_t> next{0};
+    std::mutex progress_mutex;
+    std::size_t done = 0;
+    auto worker = [&] {
+        for (;;) {
+            std::size_t i = next.fetch_add(1);
+            if (i >= total)
+                return;
             try {
                 fn(i);
             } catch (...) {
                 failures[i] = std::current_exception();
             }
-            if (progress)
-                progress(i + 1, total);
-        }
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::mutex progress_mutex;
-        std::size_t done = 0;
-
-        auto worker = [&] {
-            for (;;) {
-                std::size_t i = next.fetch_add(1);
-                if (i >= total)
-                    return;
-                try {
-                    fn(i);
-                } catch (...) {
-                    failures[i] = std::current_exception();
-                }
-                if (progress) {
-                    std::lock_guard<std::mutex> lock(progress_mutex);
-                    progress(++done, total);
-                }
+            if (progress) {
+                std::lock_guard<std::mutex> lock(progress_mutex);
+                progress(++done, total);
             }
-        };
+        }
+    };
 
-        std::vector<std::thread> threads;
-        threads.reserve(pool);
-        for (unsigned t = 0; t < pool; ++t)
-            threads.emplace_back(worker);
-        for (auto &t : threads)
-            t.join();
-    }
+    std::vector<std::thread> threads;
+    threads.reserve(pool);
+    for (unsigned t = 0; t < pool; ++t)
+        threads.emplace_back(worker);
+    for (auto &t : threads)
+        t.join();
 
     for (std::size_t i = 0; i < total; ++i) {
         if (failures[i])
             std::rethrow_exception(failures[i]);
     }
-}
-
-namespace
-{
-
-/** Fault injection shares one mutable injector across jobs; keep those
- *  runs serial so the injection sequence stays reproducible. */
-unsigned
-effectiveJobs(const SimParams &params, unsigned jobs)
-{
-    return params.faults ? 1 : jobs;
-}
-
-} // namespace
-
-std::vector<SimResult>
-runSuiteParallel(const std::vector<Workload> &workloads,
-                 const PrefetcherSpec &spec, const SimParams &params,
-                 unsigned jobs, const ProgressFn &progress)
-{
-    std::vector<SimResult> out(workloads.size());
-    forEachIndexParallel(
-        workloads.size(),
-        [&](std::size_t i) { out[i] = simulate(workloads[i], spec, params); },
-        effectiveJobs(params, jobs), progress);
-    return out;
-}
-
-std::vector<std::vector<SimResult>>
-runMatrixParallel(const std::vector<Workload> &workloads,
-                  const std::vector<PrefetcherSpec> &specs,
-                  const SimParams &params, unsigned jobs,
-                  const ProgressFn &progress)
-{
-    const std::size_t w_count = workloads.size();
-    std::vector<std::vector<SimResult>> out(
-        specs.size(), std::vector<SimResult>(w_count));
-    forEachIndexParallel(
-        specs.size() * w_count,
-        [&](std::size_t cell) {
-            std::size_t s = cell / w_count;
-            std::size_t w = cell % w_count;
-            out[s][w] = simulate(workloads[w], specs[s], params);
-        },
-        effectiveJobs(params, jobs), progress);
-    return out;
 }
 
 ProgressFn

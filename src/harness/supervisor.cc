@@ -24,15 +24,6 @@ backoffForAttempt(const SupervisorConfig &cfg, unsigned attempt)
     return cfg.backoffBaseMs << shift;
 }
 
-void
-recordError(CellResult &cell, const verify::SimError &e)
-{
-    cell.error.has = true;
-    cell.error.kind = e.kind();
-    cell.error.component = e.component();
-    cell.error.reason = e.reason();
-}
-
 /** Run one cell through the supervisor state machine. */
 CellResult
 superviseCell(const Workload &workload, const PrefetcherSpec &spec,
@@ -82,12 +73,11 @@ superviseCell(const Workload &workload, const PrefetcherSpec &spec,
                 cfg.store->store(key, resultSnapshot(cell.result));
             return cell;
         } catch (const verify::SimError &e) {
-            recordError(cell, e);
+            cell.error = {true, e.kind(), e.component(), e.reason(),
+                          std::current_exception()};
         } catch (const std::exception &e) {
-            cell.error.has = true;
-            cell.error.kind = verify::ErrorKind::Worker;
-            cell.error.component = "Supervisor";
-            cell.error.reason = e.what();
+            cell.error = {true, verify::ErrorKind::Worker, "Supervisor",
+                          e.what(), std::current_exception()};
         }
     }
 
@@ -117,6 +107,25 @@ cellOutcomeName(CellOutcome outcome)
         return "skipped-quarantined";
     }
     return "unknown";
+}
+
+std::vector<std::vector<SimResult>>
+SweepReport::results() const
+{
+    std::vector<std::vector<SimResult>> grid(cells.size());
+    for (std::size_t s = 0; s < cells.size(); ++s) {
+        for (const CellResult &cell : cells[s]) {
+            if (!cell.ok()) {
+                if (cell.error.cause)
+                    std::rethrow_exception(cell.error.cause);
+                throw verify::SimError(cell.error.kind,
+                                       cell.error.component,
+                                       cell.error.reason);
+            }
+            grid[s].push_back(cell.result);
+        }
+    }
+    return grid;
 }
 
 std::string
@@ -159,8 +168,8 @@ runSupervisedMatrix(const std::vector<Workload> &workloads,
     for (auto &row : report.cells)
         row.resize(workloads.size());
 
-    // Matches the pool's determinism rule: a shared fault injector's
-    // draw sequence must not depend on thread interleaving.
+    // A shared fault injector's draw sequence must not depend on thread
+    // interleaving, so fault campaigns run on one worker.
     unsigned jobs = params.faults ? 1 : config.jobs;
 
     std::size_t total = specs.size() * workloads.size();

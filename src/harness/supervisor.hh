@@ -25,6 +25,7 @@
 #define BERTI_HARNESS_SUPERVISOR_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -59,13 +60,16 @@ struct CellResult
     std::uint64_t backoffMsTotal = 0;
 
     /** Last failure, when outcome is (Skipped)Quarantined. SimError is
-     *  not default-constructible, so the fields travel unpacked. */
+     *  not default-constructible, so the fields travel unpacked, next to
+     *  the original exception (null for a cell skipped as quarantined,
+     *  which never ran). */
     struct Error
     {
         bool has = false;
         verify::ErrorKind kind = verify::ErrorKind::Worker;
         std::string component;
         std::string reason;
+        std::exception_ptr cause;
     } error;
 
     bool ok() const
@@ -98,7 +102,8 @@ struct SupervisorConfig
     bool rerunFailed = false;
 
     /** Worker threads (0 = parallelJobCount()); forced to 1 when the
-     *  SimParams carry a fault injector, matching the pool's rule. */
+     *  SimParams carry a fault injector, whose shared draw sequence must
+     *  not depend on thread interleaving. */
     unsigned jobs = 0;
 
     ProgressFn progress;
@@ -131,16 +136,26 @@ struct SweepReport
 
     bool allOk() const { return quarantined + skippedQuarantined == 0; }
 
+    /**
+     * The out[spec][workload] result grid, or — when any cell failed —
+     * the original exception of the lowest-index failed cell (row-major,
+     * the pool's input order), rethrown with its kind, component, reason
+     * and machine diagnostic intact.
+     */
+    std::vector<std::vector<SimResult>> results() const;
+
     /** One-line human summary, e.g. "12 computed, 3 from store, ...". */
     std::string summary() const;
 };
 
 /**
- * Run specs x workloads under supervision. Partial results by design:
- * a deterministically crashing cell ends up Quarantined with its typed
- * error while every other cell completes normally — the call only
- * throws for structural misuse (maxAttempts == 0), never for cell
- * failures.
+ * Run specs x workloads under supervision: the one matrix runner (with
+ * no store it is the plain parallel matrix the benches use). Partial
+ * results by design: a deterministically crashing cell ends up
+ * Quarantined with its typed error while every other cell completes
+ * normally — the call only throws for structural misuse
+ * (maxAttempts == 0), never for cell failures; SweepReport::results()
+ * turns a failed cell back into its exception.
  */
 SweepReport runSupervisedMatrix(const std::vector<Workload> &workloads,
                                 const std::vector<PrefetcherSpec> &specs,

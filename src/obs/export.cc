@@ -421,6 +421,20 @@ readFile(const std::string &path)
     return os.str();
 }
 
+std::string
+sanitizeLabel(const std::string &label)
+{
+    std::string out;
+    out.reserve(label.size());
+    for (char c : label) {
+        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                  (c >= '0' && c <= '9') || c == '-' || c == '.' ||
+                  c == '_';
+        out.push_back(ok ? c : '-');
+    }
+    return out.empty() ? std::string("unnamed") : out;
+}
+
 std::size_t
 removeStaleTempFiles(const std::string &dir)
 {

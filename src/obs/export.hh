@@ -100,6 +100,11 @@ std::string readFile(const std::string &path);
  */
 std::size_t removeStaleTempFiles(const std::string &dir);
 
+/** File-name-safe form of a workload/spec label for sidecar names:
+ *  anything outside [A-Za-z0-9._-] (file: URIs carry slashes and
+ *  colons) becomes '-', and an empty label becomes "unnamed". */
+std::string sanitizeLabel(const std::string &label);
+
 } // namespace berti::obs
 
 #endif // BERTI_OBS_EXPORT_HH

@@ -1,7 +1,10 @@
 #include "sim/options.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "verify/sim_error.hh"
 
@@ -12,282 +15,177 @@ namespace
 {
 
 [[noreturn]] void
-fail(const std::string &component, const std::string &reason)
+fail(const std::string &name, const std::string &text,
+     const std::string &want)
 {
-    throw verify::SimError(verify::ErrorKind::Config, component, reason);
+    throw verify::SimError(verify::ErrorKind::Config, "options",
+                           name + "=\"" + text + "\" is not " + want);
+}
+
+/** The one switch spelling: 1/true/on/yes and 0/false/off/no. */
+bool
+parseSwitch(const std::string &name, const std::string &text)
+{
+    for (const char *on : {"1", "true", "on", "yes"}) {
+        if (text == on)
+            return true;
+    }
+    for (const char *off : {"0", "false", "off", "no"}) {
+        if (text == off)
+            return false;
+    }
+    fail(name, text, "a switch (1/true/on/yes or 0/false/off/no)");
+}
+
+using Setter = void (*)(SimOptions &, const std::string &name,
+                        const std::string &text);
+
+template <auto Field, std::uint64_t Min>
+void
+setCount(SimOptions &o, const std::string &name, const std::string &text)
+{
+    using T = std::remove_reference_t<decltype(o.*Field)>;
+    std::uint64_t v = parseInteger(name, text, Min);
+    if (v > std::numeric_limits<T>::max())
+        fail(name, text, "in range");
+    o.*Field = static_cast<T>(v);
+}
+
+template <auto Field>
+void
+setSwitch(SimOptions &o, const std::string &name, const std::string &text)
+{
+    o.*Field = parseSwitch(name, text);
+}
+
+template <auto Field>
+void
+setText(SimOptions &o, const std::string &, const std::string &text)
+{
+    o.*Field = text;
+}
+
+void
+setTestSeed(SimOptions &o, const std::string &name, const std::string &text)
+{
+    o.testSeed = parseInteger(name, text, 0);
+    o.hasTestSeed = true;
 }
 
 /**
- * Strict positive-integer parse shared by the BERTI_OBS_* family; an
- * unset or empty variable keeps the fallback (historical envU64
- * semantics from src/obs).
+ * Every knob once: its environment variable, its command-line flag
+ * (nullptr = environment only; a trailing '=' takes a value, otherwise
+ * the bare flag switches the knob on) and how its text lands in
+ * SimOptions. Counts give their minimum: 0 is meaningful for sampling
+ * windows/warmup/stride and the hybrid degree, everything else must be
+ * positive.
  */
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
+struct Knob
 {
-    const char *raw = std::getenv(name);
-    if (!raw || !*raw)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(raw, &end, 10);
-    if (!end || *end != '\0' || v == 0) {
-        fail("obs", std::string(name) + "=\"" + raw +
-                        "\" is not a positive integer");
-    }
-    return static_cast<std::uint64_t>(v);
-}
+    const char *env;
+    const char *flag;
+    Setter set;
+};
 
-/**
- * Non-negative integer parse for the sampling-geometry family, where 0
- * is meaningful ("sampling off" / "no per-window warmup" / "back-to-back
- * windows") rather than malformed.
- */
-std::uint64_t
-envU64Zero(const char *name, std::uint64_t fallback)
-{
-    const char *raw = std::getenv(name);
-    if (!raw || !*raw)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(raw, &end, 10);
-    if (!end || *end != '\0') {
-        fail("sampling", std::string(name) + "=\"" + raw +
-                             "\" is not a non-negative integer");
-    }
-    return static_cast<std::uint64_t>(v);
-}
+using O = SimOptions;
 
-/** BERTI_VERIFY-style switch: on iff set, non-empty and not "0". */
-bool
-envSwitch(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v && *v && std::string(v) != "0";
-}
-
-/** BERTI_BENCH_QUICK-style switch: on iff the value starts with '1'. */
-bool
-envOne(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v && v[0] == '1';
-}
-
-unsigned
-parseJobs(const std::string &text)
-{
-    bool digits = !text.empty();
-    for (char c : text) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            digits = false;
-    }
-    unsigned long value = digits ? std::strtoul(text.c_str(), nullptr, 10)
-                                 : 0;
-    if (!digits || value == 0 || value > 4096) {
-        fail("parallel", "BERTI_JOBS must be a positive integer (got \"" +
-                             text + "\")");
-    }
-    return static_cast<unsigned>(value);
-}
+constexpr Knob kKnobs[] = {
+    {"BERTI_JOBS", "--jobs=", setCount<&O::jobs, 1>},
+    {"BERTI_CYCLE_SKIP", "--cycle-skip", setSwitch<&O::cycleSkip>},
+    {"BERTI_SAMPLE_WINDOWS", "--sample-windows=",
+     setCount<&O::sampleWindows, 0>},
+    {"BERTI_SAMPLE_WARMUP", "--sample-warmup=",
+     setCount<&O::sampleWarmup, 0>},
+    {"BERTI_SAMPLE_MEASURE", "--sample-measure=",
+     setCount<&O::sampleMeasure, 1>},
+    {"BERTI_SAMPLE_STRIDE", "--sample-stride=",
+     setCount<&O::sampleStride, 0>},
+    {"BERTI_OBS_INTERVAL", nullptr, setCount<&O::obsInterval, 1>},
+    {"BERTI_OBS_RING", nullptr, setCount<&O::obsRing, 1>},
+    {"BERTI_OBS_PFTRACE", nullptr, setCount<&O::pfTraceCapacity, 1>},
+    {"BERTI_OBS_PFTRACE_PERIOD", nullptr, setCount<&O::pfTracePeriod, 1>},
+    {"BERTI_STATS_DIR", "--stats-dir=", setText<&O::statsDir>},
+    {"BERTI_TRACE_WORKLOADS", "--trace-workloads=",
+     setText<&O::traceWorkloads>},
+    {"BERTI_MEM_BACKEND", "--mem-backend=", setText<&O::memBackend>},
+    {"BERTI_VERIFY", "--verify", setSwitch<&O::verify>},
+    {"BERTI_VERIFY_INTERVAL", nullptr, setCount<&O::verifyInterval, 1>},
+    {"BERTI_HYBRID_DEGREE", "--hybrid-degree=",
+     setCount<&O::hybridDegree, 0>},
+    {"BERTI_HYBRID_CREDITS", "--hybrid-credits=",
+     setCount<&O::hybridCreditEntries, 1>},
+    {"BERTI_HYBRID_CREDIT_MAX", "--hybrid-credit-max=",
+     setCount<&O::hybridCreditMax, 1>},
+    {"BERTI_HYBRID_DUEL_SETS", "--hybrid-duel-sets=",
+     setCount<&O::hybridDuelSets, 1>},
+    {"BERTI_HYBRID_PSEL_BITS", "--hybrid-psel-bits=",
+     setCount<&O::hybridPselBits, 1>},
+    {"BERTI_BENCH_QUICK", "--quick", setSwitch<&O::benchQuick>},
+    {"BERTI_UPDATE_GOLDENS", nullptr, setSwitch<&O::updateGoldens>},
+    {"BERTI_TEST_SEED", nullptr, setTestSeed},
+    {"BERTI_PROP_ITERS", nullptr, setCount<&O::propIterMultiplier, 1>},
+    {"BERTI_ARTIFACT_DIR", nullptr, setText<&O::artifactDir>},
+};
 
 } // namespace
+
+std::uint64_t
+parseInteger(const std::string &name, const std::string &text,
+             std::uint64_t min)
+{
+    const bool hex = text.size() > 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
+    const std::size_t digits_at = hex ? 2 : 0;
+    bool ok = text.size() > digits_at;
+    for (std::size_t i = digits_at; ok && i < text.size(); ++i) {
+        unsigned char c = static_cast<unsigned char>(text[i]);
+        ok = hex ? std::isxdigit(c) != 0 : std::isdigit(c) != 0;
+    }
+    std::uint64_t v = 0;
+    if (ok) {
+        errno = 0;
+        v = std::strtoull(text.c_str() + digits_at, nullptr, hex ? 16 : 10);
+        ok = errno != ERANGE;
+    }
+    if (!ok || v < min)
+        fail(name, text, "an integer >= " + std::to_string(min));
+    return v;
+}
 
 SimOptions
 SimOptions::fromEnv()
 {
+    // An unset or empty variable keeps the documented default; any
+    // other value must parse, or it is a typed Config error.
     SimOptions opt;
-
-    // Parallel runner. A set-but-empty BERTI_JOBS is an error (unlike
-    // the obs family): it always meant a typo'd job count.
-    if (const char *jobs = std::getenv("BERTI_JOBS"))
-        opt.jobs = parseJobs(jobs);
-
-    // Cycle-skip is on by default; any value starting with '0' turns it
-    // off. (There is no "force on" spelling — on is the default.)
-    if (const char *skip = std::getenv("BERTI_CYCLE_SKIP"))
-        opt.cycleSkip = skip[0] != '0';
-
-    // Interval sampling. Windows/warmup/stride accept 0 (off / no
-    // per-window warmup / back-to-back); the measured length must stay
-    // positive or a "sampled" run would measure nothing.
-    opt.sampleWindows = static_cast<unsigned>(
-        envU64Zero("BERTI_SAMPLE_WINDOWS", opt.sampleWindows));
-    opt.sampleWarmup = envU64Zero("BERTI_SAMPLE_WARMUP", opt.sampleWarmup);
-    opt.sampleMeasure =
-        envU64Zero("BERTI_SAMPLE_MEASURE", opt.sampleMeasure);
-    if (opt.sampleMeasure == 0) {
-        fail("sampling",
-             "BERTI_SAMPLE_MEASURE must be a positive instruction count");
+    for (const Knob &k : kKnobs) {
+        if (const char *v = std::getenv(k.env); v && *v)
+            k.set(opt, k.env, v);
     }
-    opt.sampleStride = envU64Zero("BERTI_SAMPLE_STRIDE", opt.sampleStride);
-
-    // Observability: strict positive-integer parses.
-    if (std::getenv("BERTI_OBS_INTERVAL"))
-        opt.obsInterval = envU64("BERTI_OBS_INTERVAL", 0);
-    opt.obsRing =
-        static_cast<std::size_t>(envU64("BERTI_OBS_RING", opt.obsRing));
-    if (std::getenv("BERTI_OBS_PFTRACE"))
-        opt.pfTraceCapacity =
-            static_cast<std::size_t>(envU64("BERTI_OBS_PFTRACE", 0));
-    opt.pfTracePeriod =
-        envU64("BERTI_OBS_PFTRACE_PERIOD", opt.pfTracePeriod);
-    if (const char *dir = std::getenv("BERTI_STATS_DIR"); dir && *dir)
-        opt.statsDir = dir;
-    if (const char *tw = std::getenv("BERTI_TRACE_WORKLOADS"); tw && *tw)
-        opt.traceWorkloads = tw;
-
-    // Memory backend: stored raw, validated by mem::parseBackendSpec
-    // where the machine is configured (typed Config error there).
-    if (const char *mb = std::getenv("BERTI_MEM_BACKEND"); mb && *mb)
-        opt.memBackend = mb;
-
-    // Hardening. A malformed BERTI_VERIFY_INTERVAL is silently ignored
-    // (historical auditor behavior: auditing must never be knocked out
-    // by a bad interval in CI).
-    opt.verify = envSwitch("BERTI_VERIFY");
-    if (const char *interval = std::getenv("BERTI_VERIFY_INTERVAL")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(interval, &end, 10);
-        if (end && *end == '\0' && v > 0)
-            opt.verifyInterval = static_cast<Cycle>(v);
-    }
-
-    // Hybrid prefetcher geometry. Degree accepts 0 (greediest-child
-    // governor); the table/counter shapes must stay positive. Range
-    // validation (e.g. duel-sets vs the bucket count) happens where the
-    // values meet a spec, in the hybrid parser, so env and in-spec
-    // options fail identically.
-    opt.hybridDegree = static_cast<unsigned>(
-        envU64Zero("BERTI_HYBRID_DEGREE", opt.hybridDegree));
-    opt.hybridCreditEntries = static_cast<unsigned>(
-        envU64("BERTI_HYBRID_CREDITS", opt.hybridCreditEntries));
-    opt.hybridCreditMax = static_cast<unsigned>(
-        envU64("BERTI_HYBRID_CREDIT_MAX", opt.hybridCreditMax));
-    opt.hybridDuelSets = static_cast<unsigned>(
-        envU64("BERTI_HYBRID_DUEL_SETS", opt.hybridDuelSets));
-    opt.hybridPselBits = static_cast<unsigned>(
-        envU64("BERTI_HYBRID_PSEL_BITS", opt.hybridPselBits));
-
-    // Bench + test harness.
-    opt.benchQuick = envOne("BERTI_BENCH_QUICK");
-    opt.updateGoldens = envOne("BERTI_UPDATE_GOLDENS");
-    if (const char *seed = std::getenv("BERTI_TEST_SEED");
-        seed && *seed) {
-        opt.testSeed = std::strtoull(seed, nullptr, 0);
-        opt.hasTestSeed = true;
-    }
-    if (const char *iters = std::getenv("BERTI_PROP_ITERS");
-        iters && *iters) {
-        unsigned long mult = std::strtoul(iters, nullptr, 10);
-        opt.propIterMultiplier = static_cast<unsigned>(mult < 1 ? 1
-                                                                : mult);
-    }
-    if (const char *dir = std::getenv("BERTI_ARTIFACT_DIR"); dir && *dir)
-        opt.artifactDir = dir;
-
     return opt;
 }
 
 bool
 SimOptions::applyFlag(const std::string &arg)
 {
-    auto value = [&](const char *prefix) -> const char * {
-        std::size_t n = std::string(prefix).size();
-        if (arg.compare(0, n, prefix) == 0)
-            return arg.c_str() + n;
-        return nullptr;
-    };
-
-    if (arg == "--quick") {
-        benchQuick = true;
-        return true;
-    }
     if (arg == "--no-cycle-skip") {
         cycleSkip = false;
         return true;
     }
-    if (arg == "--cycle-skip") {
-        cycleSkip = true;
-        return true;
-    }
-    if (arg == "--verify") {
-        verify = true;
-        return true;
-    }
-    if (const char *v = value("--jobs=")) {
-        jobs = parseJobs(v);
-        return true;
-    }
-    if (const char *v = value("--stats-dir=")) {
-        statsDir = v;
-        return true;
-    }
-    if (const char *v = value("--trace-workloads=")) {
-        traceWorkloads = v;
-        return true;
-    }
-    if (const char *v = value("--mem-backend=")) {
-        memBackend = v;
-        return true;
-    }
-
-    // Sampling geometry mirrors the BERTI_SAMPLE_* family, including
-    // which knobs accept zero.
-    auto u64Flag = [&](const char *text, const char *flag,
-                       bool zero_ok) -> std::uint64_t {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(text, &end, 10);
-        if (!end || *end != '\0' || *text == '\0' ||
-            (!zero_ok && parsed == 0)) {
-            fail("sampling", std::string(flag) + "=\"" + text + "\" is " +
-                                 (zero_ok ? "not a non-negative integer"
-                                          : "not a positive integer"));
+    for (const Knob &k : kKnobs) {
+        if (!k.flag)
+            continue;
+        const std::string flag = k.flag;
+        if (flag.back() != '=') {
+            if (arg == flag) {
+                k.set(*this, flag, "1");
+                return true;
+            }
+        } else if (arg.compare(0, flag.size(), flag) == 0) {
+            k.set(*this, flag.substr(0, flag.size() - 1),
+                  arg.substr(flag.size()));
+            return true;
         }
-        return static_cast<std::uint64_t>(parsed);
-    };
-    if (const char *v = value("--sample-windows=")) {
-        sampleWindows = static_cast<unsigned>(
-            u64Flag(v, "--sample-windows", /*zero_ok=*/true));
-        return true;
-    }
-    if (const char *v = value("--sample-warmup=")) {
-        sampleWarmup = u64Flag(v, "--sample-warmup", /*zero_ok=*/true);
-        return true;
-    }
-    if (const char *v = value("--sample-measure=")) {
-        sampleMeasure = u64Flag(v, "--sample-measure", /*zero_ok=*/false);
-        return true;
-    }
-    if (const char *v = value("--sample-stride=")) {
-        sampleStride = u64Flag(v, "--sample-stride", /*zero_ok=*/true);
-        return true;
-    }
-
-    // Hybrid selector geometry mirrors the BERTI_HYBRID_* family.
-    if (const char *v = value("--hybrid-degree=")) {
-        hybridDegree = static_cast<unsigned>(
-            u64Flag(v, "--hybrid-degree", /*zero_ok=*/true));
-        return true;
-    }
-    if (const char *v = value("--hybrid-credits=")) {
-        hybridCreditEntries = static_cast<unsigned>(
-            u64Flag(v, "--hybrid-credits", /*zero_ok=*/false));
-        return true;
-    }
-    if (const char *v = value("--hybrid-credit-max=")) {
-        hybridCreditMax = static_cast<unsigned>(
-            u64Flag(v, "--hybrid-credit-max", /*zero_ok=*/false));
-        return true;
-    }
-    if (const char *v = value("--hybrid-duel-sets=")) {
-        hybridDuelSets = static_cast<unsigned>(
-            u64Flag(v, "--hybrid-duel-sets", /*zero_ok=*/false));
-        return true;
-    }
-    if (const char *v = value("--hybrid-psel-bits=")) {
-        hybridPselBits = static_cast<unsigned>(
-            u64Flag(v, "--hybrid-psel-bits", /*zero_ok=*/false));
-        return true;
     }
     return false;
 }

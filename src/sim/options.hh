@@ -144,7 +144,9 @@ struct SimOptions
     /**
      * Parse every knob from the environment. Malformed values throw
      * verify::SimError(ErrorKind::Config) naming the offending
-     * variable. Unset variables keep the documented defaults above.
+     * variable. Unset or empty variables keep the documented defaults
+     * above. Integers go through parseInteger; switches take
+     * 1/true/on/yes or 0/false/off/no.
      */
     static SimOptions fromEnv();
 
@@ -156,19 +158,29 @@ struct SimOptions
     static SimOptions fromEnvAndArgs(int &argc, char **argv);
 
     /**
-     * Apply one "--key[=value]" override on top of the current values.
+     * Apply one "--key[=value]" override on top of the current values,
+     * parsed exactly like the matching environment variable.
      * Recognised: --jobs=N, --quick, --no-cycle-skip, --cycle-skip,
      * --stats-dir=DIR, --trace-workloads=LIST, --mem-backend=SPEC,
-     * --verify,
-     * --sample-windows=N, --sample-warmup=N,
+     * --verify, --sample-windows=N, --sample-warmup=N,
      * --sample-measure=N, --sample-stride=N, --hybrid-degree=N,
      * --hybrid-credits=N, --hybrid-credit-max=N, --hybrid-duel-sets=N,
-     * --hybrid-psel-bits=N. @return false when the
-     * flag is not a SimOptions flag (caller keeps it); malformed values
-     * throw verify::SimError(ErrorKind::Config).
+     * --hybrid-psel-bits=N. @return false when the flag is not a
+     * SimOptions flag (caller keeps it); malformed values throw
+     * verify::SimError(ErrorKind::Config).
      */
     bool applyFlag(const std::string &arg);
 };
+
+/**
+ * The one integer parser behind every numeric knob and flag: the whole
+ * text must be a decimal (or 0x-prefixed hex) integer >= min that fits
+ * 64 bits — no sign, no whitespace, no trailing junk. Anything else
+ * throws verify::SimError(ErrorKind::Config) naming `name` (the
+ * variable or flag) and the text.
+ */
+std::uint64_t parseInteger(const std::string &name, const std::string &text,
+                           std::uint64_t min);
 
 } // namespace berti::sim
 

@@ -27,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/result_store.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
@@ -36,6 +35,7 @@
 #include "trace/registry.hh"
 #include "verify/fault_injector.hh"
 #include "verify/sim_error.hh"
+#include "test_util.hh"
 
 // ------------------------------------------------------- allocation probe
 // Same global operator new/delete override as test_simspeed.cpp: the
@@ -88,6 +88,8 @@ namespace berti
 
 namespace
 {
+
+using test::ScopedEnv;
 
 // ---------------------------------------------------- independent encoder
 // Byte-level input_instr writer sharing no code with the production
@@ -296,34 +298,6 @@ sameInstr(const TraceInstr &a, const TraceInstr &b)
            a.taken == b.taken &&
            a.dependsOnPrevLoad == b.dependsOnPrevLoad;
 }
-
-/** Scoped environment override; restores the previous value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : key(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had = true;
-            previous = old;
-        }
-        setenv(name, value, 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            setenv(key, previous.c_str(), 1);
-        else
-            unsetenv(key);
-    }
-
-  private:
-    const char *key;
-    bool had = false;
-    std::string previous;
-};
 
 } // namespace
 
@@ -884,16 +858,7 @@ TEST(ChampSimDifferential, WorkerCountDoesNotPerturbFileWorkloads)
     std::vector<Workload> workloads = {w, synth};
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
-    auto one = runMatrixParallel(workloads, specs, params, /*jobs=*/1);
-    auto two = runMatrixParallel(workloads, specs, params, /*jobs=*/2);
-    ASSERT_EQ(one.size(), two.size());
-    for (std::size_t s = 0; s < one.size(); ++s) {
-        for (std::size_t i = 0; i < one[s].size(); ++i) {
-            EXPECT_EQ(obs::toJson(resultSnapshot(one[s][i])),
-                      obs::toJson(resultSnapshot(two[s][i])))
-                << "spec " << s << " workload " << i;
-        }
-    }
+    test::expectJobCountInvariant(workloads, specs, params, 2);
 }
 
 TEST(ChampSimDifferential, BenchTraceWorkloadListRidesAlong)

@@ -33,36 +33,10 @@ using prefetch::HybridConfig;
 using prefetch::HybridPrefetcher;
 using prefetch::HybridSelect;
 using test::RecordingPort;
+using test::ScopedEnv;
 
 namespace
 {
-
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : key(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had = true;
-            previous = old;
-        }
-        setenv(name, value, 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            setenv(key, previous.c_str(), 1);
-        else
-            unsetenv(key);
-    }
-
-  private:
-    const char *key;
-    bool had = false;
-    std::string previous;
-};
 
 std::string
 canon(const std::string &spec, const HybridConfig &base = HybridConfig{})
@@ -710,17 +684,7 @@ TEST(HybridDeterminism, BitIdenticalAcrossJobCounts)
         makeSpec("hybrid(berti,cmc;select=ip)"),
         makeSpec("hybrid(berti,markov;select=duel)")};
 
-    auto one = runMatrixParallel(workloads, specs, p, 1);
-    auto eight = runMatrixParallel(workloads, specs, p, 8);
-    ASSERT_EQ(one.size(), eight.size());
-    for (std::size_t s = 0; s < one.size(); ++s) {
-        ASSERT_EQ(one[s].size(), eight[s].size());
-        for (std::size_t w = 0; w < one[s].size(); ++w) {
-            EXPECT_EQ(resultSnapshot(one[s][w]),
-                      resultSnapshot(eight[s][w]))
-                << specs[s].name << "/" << workloads[w].name;
-        }
-    }
+    test::expectJobCountInvariant(workloads, specs, p, 8);
 }
 
 TEST(HybridStoreKeys, ChildOrderAndGeometrySeparateKeys)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "harness/result_store.hh"
 #include "harness/table.hh"
 #include "verify/sim_error.hh"
 
@@ -42,6 +43,31 @@ TEST(Spec, L2OnlyCombo)
     EXPECT_EQ(s.l1d, nullptr);
     ASSERT_NE(s.l2, nullptr);
     EXPECT_EQ(s.l2()->name(), "bingo");
+}
+
+TEST(Spec, L1iPrefetcherShowsInNameAndRuns)
+{
+    PrefetcherSpec plain = makeSpec("berti");
+    PrefetcherSpec with = withL1iPrefetcher(
+        plain, "next-line", [] { return makeSpec("next-line").l1d(); });
+    EXPECT_EQ(with.name, "berti;l1i=next-line");
+    EXPECT_NE(harness::makeStoreKey("mcf-like.472", with.name, {}).hash(),
+              harness::makeStoreKey("mcf-like.472", plain.name, {}).hash());
+
+    // The factory reaches the machine, in full and sampled runs alike.
+    SimParams p;
+    p.warmupInstructions = 2000;
+    p.measureInstructions = 8000;
+    const Workload &w = findWorkload("cloud9-like");
+    EXPECT_EQ(simulate(w, plain, p).roi.l1i.prefetchIssued, 0u);
+    EXPECT_GT(simulate(w, with, p).roi.l1i.prefetchIssued, 0u);
+    p.sampling.windowCount = 2;
+    p.sampling.windowMeasure = 2000;
+    SampledResult s = simulateSampled(w, with, p);
+    EXPECT_GT(s.aggregate.roi.l1i.prefetchIssued, 0u);
+    EXPECT_GE(s.aggregate.roi.core.instructions,
+              2 * p.sampling.windowMeasure);
+    EXPECT_LT(s.aggregate.roi.core.instructions, p.measureInstructions);
 }
 
 TEST(Spec, UnknownNameThrowsTypedError)
@@ -173,8 +199,8 @@ TEST(SimulateMix, ProducesPerCoreResults)
     auto results = simulateMix(mix, makeSpec("berti"), p);
     ASSERT_EQ(results.size(), 2u);
     for (const auto &r : results) {
-        EXPECT_GE(r.roi.core.instructions, p.measureInstructions);
-        EXPECT_GT(r.ipc, 0.0);
+        EXPECT_GE(r.aggregate.roi.core.instructions, p.measureInstructions);
+        EXPECT_GT(r.aggregate.ipc, 0.0);
     }
 }
 
@@ -188,9 +214,10 @@ TEST(SimulateMix, SharedLlcSeesBothCores)
     auto results = simulateMix(mix, makeSpec("none"), p);
     // Both cores funnel into one LLC: its access count exceeds either
     // core's private L2 miss count.
-    EXPECT_GT(results[0].roi.llc.demandAccesses +
-                  results[1].roi.llc.demandAccesses,
-              results[0].roi.l2.demandMisses);
+    const RunStats &c0 = results[0].aggregate.roi;
+    const RunStats &c1 = results[1].aggregate.roi;
+    EXPECT_GT(c0.llc.demandAccesses + c1.llc.demandAccesses,
+              c0.l2.demandMisses);
 }
 
 TEST(SpeedupGeomean, MatchesHandComputation)

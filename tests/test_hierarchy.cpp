@@ -126,7 +126,7 @@ TEST(Hierarchy, MultiCoreContentionSlowsMemoryBoundCores)
     const Workload &w = findWorkload("stream-like.1");
     SimResult solo = simulate(w, makeSpec("none"), p);
     auto quad = simulateMix({w, w, w, w}, makeSpec("none"), p);
-    double quad_ipc = quad[0].ipc;
+    double quad_ipc = quad[0].aggregate.ipc;
     EXPECT_LT(quad_ipc, solo.ipc);
 }
 
@@ -139,8 +139,8 @@ TEST(Hierarchy, BertiHelpsUnderContention)
     auto berti = simulateMix({w, w, w, w}, makeSpec("berti"), p);
     double base_g = 1.0, berti_g = 1.0;
     for (unsigned c = 0; c < 4; ++c) {
-        base_g *= base[c].ipc;
-        berti_g *= berti[c].ipc;
+        base_g *= base[c].aggregate.ipc;
+        berti_g *= berti[c].aggregate.ipc;
     }
     EXPECT_GT(berti_g, base_g);
 }

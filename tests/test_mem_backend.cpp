@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/result_store.hh"
 #include "mem/backend_registry.hh"
 #include "mem/dram.hh"
@@ -24,6 +23,7 @@
 #include "sim/spec_parse.hh"
 #include "trace/registry.hh"
 #include "verify/sim_error.hh"
+#include "test_util.hh"
 
 namespace berti
 {
@@ -615,17 +615,7 @@ TEST(BackendSimulate, MatrixIsJobCountInvariantPerBackend)
         params.measureInstructions = 6000;
         params.memBackend = backend;
 
-        auto grid1 = runMatrixParallel(workloads, specs, params, 1);
-        auto grid8 = runMatrixParallel(workloads, specs, params, 8);
-        ASSERT_EQ(grid1.size(), grid8.size());
-        for (std::size_t s = 0; s < grid1.size(); ++s) {
-            for (std::size_t i = 0; i < grid1[s].size(); ++i) {
-                EXPECT_EQ(
-                    obs::toJson(resultSnapshot(grid1[s][i])),
-                    obs::toJson(resultSnapshot(grid8[s][i])))
-                    << backend << " cell [" << s << "][" << i << "]";
-            }
-        }
+        test::expectJobCountInvariant(workloads, specs, params, 8);
     }
 }
 

@@ -13,18 +13,20 @@
 
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
-#include "harness/parallel.hh"
 #include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/timeseries.hh"
 #include "trace/registry.hh"
 #include "verify/sim_error.hh"
+#include "test_util.hh"
 
 namespace berti
 {
 namespace
 {
+
+using test::ScopedEnv;
 
 using obs::Histogram;
 using obs::IntervalSampler;
@@ -33,34 +35,6 @@ using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
 using obs::PfEvent;
 using obs::PrefetchEventTrace;
-
-/** Scoped environment override; restores the previous value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : key(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had = true;
-            previous = old;
-        }
-        setenv(name, value, 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            setenv(key, previous.c_str(), 1);
-        else
-            unsetenv(key);
-    }
-
-  private:
-    const char *key;
-    bool had = false;
-    std::string previous;
-};
 
 // ------------------------------------------------------------- Histogram
 
@@ -706,17 +680,7 @@ TEST(Determinism, ExportBitIdenticalAcrossJobCounts)
                                        findWorkload("bwaves-like.2609")};
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
-    auto serial =
-        runMatrixParallel(workloads, specs, tinyParams(), /*jobs=*/1);
-    auto parallel =
-        runMatrixParallel(workloads, specs, tinyParams(), /*jobs=*/8);
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            EXPECT_EQ(obs::toJson(resultSnapshot(serial[s][w])),
-                      obs::toJson(resultSnapshot(parallel[s][w])))
-                << specs[s].name << " on " << workloads[w].name;
-        }
-    }
+    test::expectJobCountInvariant(workloads, specs, tinyParams(), 8);
 }
 
 TEST(Determinism, PerturbedCounterIsDetected)

@@ -1,15 +1,15 @@
-/** @file Parallel runner tests: bit-identical results across thread
- *  counts (serial vs BERTI_JOBS = 1/2/8, with and without the
- *  invariant auditor), typed error propagation out of worker threads,
- *  ordering guarantees, and BERTI_JOBS parsing. */
+/** @file Matrix runner tests: bit-identical results across job counts
+ *  (1/2/8 workers, with and without the invariant auditor), typed error
+ *  propagation out of worker threads, ordering guarantees, and
+ *  BERTI_JOBS parsing. */
 
-#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
 #include "harness/parallel.hh"
+#include "test_util.hh"
 #include "verify/sim_error.hh"
 
 namespace berti
@@ -18,88 +18,9 @@ namespace berti
 namespace
 {
 
-/** Scoped BERTI_JOBS override, restored on destruction so tests do not
- *  leak environment into each other. */
-class ScopedJobsEnv
-{
-  public:
-    explicit ScopedJobsEnv(const char *value)
-    {
-        if (const char *old = std::getenv("BERTI_JOBS")) {
-            hadOld = true;
-            oldValue = old;
-        }
-        if (value)
-            setenv("BERTI_JOBS", value, 1);
-        else
-            unsetenv("BERTI_JOBS");
-    }
-
-    ~ScopedJobsEnv()
-    {
-        if (hadOld)
-            setenv("BERTI_JOBS", oldValue.c_str(), 1);
-        else
-            unsetenv("BERTI_JOBS");
-    }
-
-  private:
-    bool hadOld = false;
-    std::string oldValue;
-};
-
-void
-expectSameCache(const CacheStats &a, const CacheStats &b,
-                const std::string &where)
-{
-    EXPECT_EQ(a.demandAccesses, b.demandAccesses) << where;
-    EXPECT_EQ(a.demandHits, b.demandHits) << where;
-    EXPECT_EQ(a.demandMisses, b.demandMisses) << where;
-    EXPECT_EQ(a.demandMshrMerged, b.demandMshrMerged) << where;
-    EXPECT_EQ(a.prefetchIssued, b.prefetchIssued) << where;
-    EXPECT_EQ(a.prefetchFills, b.prefetchFills) << where;
-    EXPECT_EQ(a.prefetchUseful, b.prefetchUseful) << where;
-    EXPECT_EQ(a.prefetchUseless, b.prefetchUseless) << where;
-    EXPECT_EQ(a.prefetchLate, b.prefetchLate) << where;
-    EXPECT_EQ(a.prefetchDroppedFull, b.prefetchDroppedFull) << where;
-    EXPECT_EQ(a.prefetchDroppedTlb, b.prefetchDroppedTlb) << where;
-    EXPECT_EQ(a.prefetchDroppedPage, b.prefetchDroppedPage) << where;
-    EXPECT_EQ(a.writebacks, b.writebacks) << where;
-    EXPECT_EQ(a.fills, b.fills) << where;
-    EXPECT_EQ(a.requestsBelow, b.requestsBelow) << where;
-    EXPECT_EQ(a.fillLatencySum, b.fillLatencySum) << where;
-    EXPECT_EQ(a.fillLatencyCount, b.fillLatencyCount) << where;
-    EXPECT_EQ(a.tagReads, b.tagReads) << where;
-    EXPECT_EQ(a.tagWrites, b.tagWrites) << where;
-    EXPECT_EQ(a.dataReads, b.dataReads) << where;
-    EXPECT_EQ(a.dataWrites, b.dataWrites) << where;
-}
-
-void
-expectSameResult(const SimResult &a, const SimResult &b,
-                 const std::string &where)
-{
-    EXPECT_EQ(a.roi.core.instructions, b.roi.core.instructions) << where;
-    EXPECT_EQ(a.roi.core.cycles, b.roi.core.cycles) << where;
-    EXPECT_EQ(a.roi.core.loads, b.roi.core.loads) << where;
-    EXPECT_EQ(a.roi.core.stores, b.roi.core.stores) << where;
-    EXPECT_EQ(a.roi.core.branches, b.roi.core.branches) << where;
-    EXPECT_EQ(a.roi.core.mispredicts, b.roi.core.mispredicts) << where;
-    expectSameCache(a.roi.l1i, b.roi.l1i, where + "/l1i");
-    expectSameCache(a.roi.l1d, b.roi.l1d, where + "/l1d");
-    expectSameCache(a.roi.l2, b.roi.l2, where + "/l2");
-    expectSameCache(a.roi.llc, b.roi.llc, where + "/llc");
-    EXPECT_EQ(a.roi.dtlb.accesses, b.roi.dtlb.accesses) << where;
-    EXPECT_EQ(a.roi.dtlb.misses, b.roi.dtlb.misses) << where;
-    EXPECT_EQ(a.roi.stlb.accesses, b.roi.stlb.accesses) << where;
-    EXPECT_EQ(a.roi.stlb.misses, b.roi.stlb.misses) << where;
-    EXPECT_EQ(a.roi.dram.reads, b.roi.dram.reads) << where;
-    EXPECT_EQ(a.roi.dram.writes, b.roi.dram.writes) << where;
-    EXPECT_EQ(a.roi.dram.rowHits, b.roi.dram.rowHits) << where;
-    EXPECT_EQ(a.roi.dram.rowMisses, b.roi.dram.rowMisses) << where;
-    EXPECT_EQ(a.ipc, b.ipc) << where;
-    EXPECT_EQ(a.energy.total(), b.energy.total()) << where;
-}
+using test::resultJson;
+using test::runGrid;
+using test::ScopedEnv;
 
 std::vector<Workload>
 smallSuite()
@@ -121,114 +42,131 @@ smallParams()
 
 } // namespace
 
-TEST(ParallelSuite, BitIdenticalToSerialAcrossJobCounts)
+TEST(ParallelMatrix, BitIdenticalToSerialAcrossJobCounts)
 {
     auto workloads = smallSuite();
-    SimParams p = smallParams();
     PrefetcherSpec spec = makeSpec("berti");
-
-    auto serial = runSuite(workloads, spec, p);
-    for (unsigned jobs : {1u, 2u, 8u}) {
-        auto par = runSuiteParallel(workloads, spec, p, jobs);
-        ASSERT_EQ(par.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            expectSameResult(serial[i], par[i],
-                             workloads[i].name + "@jobs=" +
-                                 std::to_string(jobs));
-        }
+    for (unsigned jobs : {2u, 8u})
+        test::expectJobCountInvariant(workloads, {spec}, smallParams(), jobs);
+    // The pool adds nothing: one worker is the plain simulate() call.
+    auto grid = runGrid(workloads, {spec}, smallParams(), 1);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        EXPECT_EQ(resultJson(grid[0][w]),
+                  resultJson(simulate(workloads[w], spec, smallParams())))
+            << workloads[w].name;
     }
 }
 
-TEST(ParallelSuite, HonoursBertiJobsEnvironment)
-{
-    auto workloads = smallSuite();
-    SimParams p = smallParams();
-    PrefetcherSpec spec = makeSpec("ip-stride");
-
-    auto serial = runSuite(workloads, spec, p);
-    ScopedJobsEnv env("2");
-    auto par = runSuiteParallel(workloads, spec, p);  // jobs = 0 -> env
-    ASSERT_EQ(par.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameResult(serial[i], par[i], workloads[i].name + "@env=2");
-}
-
-TEST(ParallelSuite, BitIdenticalUnderInvariantAuditor)
+TEST(ParallelMatrix, HonoursBertiJobsEnvironment)
 {
     std::vector<Workload> workloads = {findWorkload("stream-like.1"),
                                        findWorkload("gcc-like.2226")};
-    SimParams p = smallParams();
-    p.forceAudit = true;  // same auditing the BERTI_VERIFY=1 CI runs use
-    PrefetcherSpec spec = makeSpec("berti");
-
-    auto serial = runSuite(workloads, spec, p);
-    auto par = runSuiteParallel(workloads, spec, p, 4);
-    ASSERT_EQ(par.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameResult(serial[i], par[i], workloads[i].name + "@audit");
+    std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride")};
+    auto serial = runGrid(workloads, specs, smallParams(), 1);
+    ScopedEnv env("BERTI_JOBS", "2");
+    auto par = runGrid(workloads, specs, smallParams(), 0);  // 0 -> env
+    for (std::size_t w = 0; w < workloads.size(); ++w)
+        EXPECT_EQ(resultJson(serial[0][w]), resultJson(par[0][w]));
 }
 
-TEST(ParallelMatrix, BitIdenticalToSerialAndOrdered)
+TEST(ParallelMatrix, BitIdenticalUnderInvariantAuditor)
+{
+    SimParams p = smallParams();
+    p.forceAudit = true;  // same auditing the BERTI_VERIFY=1 CI runs use
+    test::expectJobCountInvariant(
+        {findWorkload("stream-like.1"), findWorkload("gcc-like.2226")},
+        {makeSpec("berti")}, p, 4);
+}
+
+TEST(ParallelMatrix, OrderedBySpecThenWorkload)
 {
     std::vector<Workload> workloads = {findWorkload("stream-like.1"),
                                        findWorkload("mcf-like.1554"),
                                        findWorkload("gcc-like.2226")};
-    SimParams p = smallParams();
     std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride"),
                                          makeSpec("berti")};
-
-    auto grid = runMatrixParallel(workloads, specs, p, 4);
+    auto grid = runGrid(workloads, specs, smallParams(), 4);
     ASSERT_EQ(grid.size(), specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
         ASSERT_EQ(grid[s].size(), workloads.size());
-        auto serial = runSuite(workloads, specs[s], p);
         for (std::size_t w = 0; w < workloads.size(); ++w) {
-            expectSameResult(serial[w], grid[s][w],
-                             specs[s].name + "/" + workloads[w].name);
+            EXPECT_EQ(resultJson(grid[s][w]),
+                      resultJson(simulate(workloads[w], specs[s],
+                                          smallParams())))
+                << specs[s].name << "/" << workloads[w].name;
         }
     }
 }
 
-TEST(ParallelSuite, ConcurrentSharedGraphBuildIsSafeAndIdentical)
+TEST(ParallelMatrix, ConcurrentSharedGraphBuildIsSafeAndIdentical)
 {
     // Four GAP kernels over the same graph: the workers race to build
-    // the registry's shared "urand" Csr on first use. Parallel runs
-    // first so the build itself happens under contention (TSan covers
-    // this test in CI).
+    // the registry's shared "urand" Csr on first use. The parallel run
+    // goes first so the build itself happens under contention (TSan
+    // covers this test in CI).
     std::vector<Workload> workloads = {
         findWorkload("bfs-urand"), findWorkload("pr-urand"),
         findWorkload("cc-urand"), findWorkload("sssp-urand")};
     SimParams p;
     p.warmupInstructions = 2000;
     p.measureInstructions = 8000;
-    PrefetcherSpec spec = makeSpec("ip-stride");
+    std::vector<PrefetcherSpec> specs = {makeSpec("ip-stride")};
 
-    auto par = runSuiteParallel(workloads, spec, p, 4);
-    auto serial = runSuite(workloads, spec, p);
-    ASSERT_EQ(par.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameResult(serial[i], par[i], workloads[i].name + "@graph");
+    auto par = runGrid(workloads, specs, p, 4);
+    auto serial = runGrid(workloads, specs, p, 1);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        EXPECT_EQ(resultJson(serial[0][w]), resultJson(par[0][w]))
+            << workloads[w].name;
+    }
 }
 
-TEST(Parallel, WorkerSimErrorPropagatesTyped)
+TEST(ParallelMatrix, WorkerSimErrorPropagatesTyped)
 {
     std::vector<Workload> workloads = {findWorkload("stream-like.1"),
                                        findWorkload("gcc-like.2226")};
-    SimParams p = smallParams();
-
     PrefetcherSpec bad;
     bad.name = "boom";
     bad.l1d = []() -> std::unique_ptr<Prefetcher> {
         throw verify::SimError(verify::ErrorKind::Config, "test-factory",
-                               "injected worker failure");
+                               "injected worker failure", "", 0,
+                               "machine state");
     };
     try {
-        runSuiteParallel(workloads, bad, p, 2);
+        runGrid(workloads, {bad}, smallParams(), 2);
         FAIL() << "expected verify::SimError";
     } catch (const verify::SimError &e) {
         EXPECT_EQ(e.kind(), verify::ErrorKind::Config);
         EXPECT_EQ(e.component(), "test-factory");
         EXPECT_NE(e.reason().find("injected"), std::string::npos);
+        EXPECT_EQ(e.diagnostic(), "machine state");
+    }
+}
+
+TEST(ParallelMatrix, LowestIndexFailedCellWins)
+{
+    // Cells (spec 0, workload 1) and (spec 1, workload 0) fail; the
+    // row-major first one is rethrown whatever the schedule.
+    std::vector<Workload> workloads = {findWorkload("stream-like.1"),
+                                       findWorkload("gcc-like.2226")};
+    harness::SupervisorConfig cfg;
+    cfg.maxAttempts = 1;
+    cfg.jobs = 4;
+    cfg.preAttempt = [](const std::string &workload,
+                        const std::string &spec, unsigned) {
+        if ((spec == "none" && workload == "gcc-like.2226") ||
+            (spec == "berti" && workload == "stream-like.1")) {
+            throw verify::SimError(verify::ErrorKind::Fault, "order-test",
+                                   spec + "/" + workload);
+        }
+    };
+    auto report = harness::runSupervisedMatrix(
+        workloads, {makeSpec("none"), makeSpec("berti")}, smallParams(),
+        cfg);
+    try {
+        report.results();
+        FAIL() << "expected verify::SimError";
+    } catch (const verify::SimError &e) {
+        EXPECT_EQ(e.reason(), "none/gcc-like.2226");
     }
 }
 
@@ -275,27 +213,27 @@ TEST(Parallel, ProgressIsMonotonicAndComplete)
 
 TEST(Parallel, BadBertiJobsIsTypedConfigError)
 {
-    for (const char *bad : {"", "0", "-3", "lots", "4x"}) {
-        ScopedJobsEnv env(bad);
+    for (const char *bad : {"0", "-3", "lots", "4x", " 2"}) {
+        ScopedEnv env("BERTI_JOBS", bad);
         try {
             parallelJobCount();
             FAIL() << "expected verify::SimError for \"" << bad << "\"";
         } catch (const verify::SimError &e) {
             EXPECT_EQ(e.kind(), verify::ErrorKind::Config);
-            EXPECT_EQ(e.component(), "parallel");
+            EXPECT_NE(e.reason().find("BERTI_JOBS"), std::string::npos);
         }
     }
 }
 
 TEST(Parallel, ValidBertiJobsIsUsed)
 {
-    ScopedJobsEnv env("3");
+    ScopedEnv env("BERTI_JOBS", "3");
     EXPECT_EQ(parallelJobCount(), 3u);
 }
 
 TEST(Parallel, DefaultJobCountIsPositive)
 {
-    ScopedJobsEnv env(nullptr);
+    ScopedEnv env("BERTI_JOBS", nullptr);
     EXPECT_GE(parallelJobCount(), 1u);
 }
 

@@ -19,12 +19,12 @@
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/parallel.hh"
 #include "harness/result_store.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
 #include "trace/registry.hh"
 #include "verify/fault_injector.hh"
+#include "test_util.hh"
 #include "verify/sim_error.hh"
 
 #ifndef BERTI_GOLDEN_DIR
@@ -35,6 +35,9 @@ namespace berti
 {
 namespace
 {
+
+using test::resultJson;
+using test::ScopedEnv;
 
 /**
  * Documented sampled-vs-full error bounds (docs/ARCHITECTURE.md,
@@ -83,12 +86,6 @@ freshDir(const std::string &name)
            std::to_string(::getpid());
 }
 
-std::string
-resultJson(const SimResult &r)
-{
-    return obs::toJson(resultSnapshot(r));
-}
-
 void
 expectConfigError(const SimParams &params, const std::string &needle)
 {
@@ -102,33 +99,6 @@ expectConfigError(const SimParams &params, const std::string &needle)
             << e.reason();
     }
 }
-
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : key(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had = true;
-            previous = old;
-        }
-        setenv(name, value, 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            setenv(key, previous.c_str(), 1);
-        else
-            unsetenv(key);
-    }
-
-  private:
-    const char *key;
-    bool had = false;
-    std::string previous;
-};
 
 } // namespace
 
@@ -238,14 +208,7 @@ TEST(Sampling, BitIdenticalAcrossJobs)
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
 
-    auto serial = runMatrixParallel(workloads, specs, p, /*jobs=*/1);
-    auto threaded = runMatrixParallel(workloads, specs, p, /*jobs=*/4);
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            EXPECT_EQ(resultJson(threaded[s][w]), resultJson(serial[s][w]))
-                << specs[s].name << "/" << workloads[w].name;
-        }
-    }
+    test::expectJobCountInvariant(workloads, specs, p, 4);
 }
 
 // --------------------------------------------------- checkpoint resume
@@ -298,7 +261,7 @@ TEST(SamplingMix, PerCoreWindowsAndAggregates)
                                  findWorkload("gcc-like.2226")};
     PrefetcherSpec spec = makeSpec("berti");
 
-    std::vector<SampledResult> sampled = simulateMixSampled(mix, spec, p);
+    std::vector<SampledResult> sampled = simulateMix(mix, spec, p);
     ASSERT_EQ(sampled.size(), 2u);
     for (const SampledResult &s : sampled) {
         ASSERT_EQ(s.windows.size(), 4u);
@@ -306,12 +269,6 @@ TEST(SamplingMix, PerCoreWindowsAndAggregates)
                   4 * p.sampling.windowMeasure);
         EXPECT_GT(s.aggregate.ipc, 0.0);
     }
-
-    // simulateMix with sampling enabled returns the same aggregates.
-    std::vector<SimResult> via_mix = simulateMix(mix, spec, p);
-    ASSERT_EQ(via_mix.size(), 2u);
-    for (std::size_t c = 0; c < 2; ++c)
-        EXPECT_EQ(resultJson(via_mix[c]), resultJson(sampled[c].aggregate));
 }
 
 TEST(SamplingMix, PerWindowCheckpointsAreSingleCoreOnly)
@@ -321,7 +278,7 @@ TEST(SamplingMix, PerWindowCheckpointsAreSingleCoreOnly)
     std::vector<Workload> mix = {findWorkload("stream-like.1"),
                                  findWorkload("gcc-like.2226")};
     try {
-        simulateMixSampled(mix, makeSpec("none"), p);
+        simulateMix(mix, makeSpec("none"), p);
         FAIL() << "expected verify::SimError";
     } catch (const verify::SimError &e) {
         EXPECT_EQ(e.kind(), verify::ErrorKind::Config);
@@ -413,6 +370,91 @@ TEST(SamplingOptions, FlagsLayerOverEnv)
     EXPECT_EQ(opt.sampleStride, 5000u);
     EXPECT_THROW(opt.applyFlag("--sample-measure=0"), verify::SimError);
     EXPECT_FALSE(opt.applyFlag("--not-a-sampling-flag=1"));
+}
+
+TEST(SimOptionsKnobs, MalformedValuesAreConfigErrorsNamingTheKnob)
+{
+    // One integer parser and one switch spelling for env and flags
+    // alike: every malformed value is a typed Config error that names
+    // the variable or flag.
+    struct Bad
+    {
+        const char *knob;
+        const char *value;
+    };
+    const Bad env_cases[] = {
+        {"BERTI_JOBS", "0"},
+        {"BERTI_JOBS", "4x"},
+        {"BERTI_SAMPLE_WINDOWS", "-1"},
+        {"BERTI_SAMPLE_MEASURE", "0"},
+        {"BERTI_OBS_RING", "1e3"},
+        {"BERTI_VERIFY_INTERVAL", "abc"},
+        {"BERTI_VERIFY_INTERVAL", "0"},
+        {"BERTI_TEST_SEED", "12abc"},
+        {"BERTI_TEST_SEED", "0x"},
+        {"BERTI_PROP_ITERS", "three"},
+        {"BERTI_PROP_ITERS", "99999999999999999999999"},
+        {"BERTI_HYBRID_CREDITS", "4294967296"},
+        {"BERTI_BENCH_QUICK", "maybe"},
+        {"BERTI_CYCLE_SKIP", "00"},
+        {"BERTI_VERIFY", " 1"},
+    };
+    for (const Bad &c : env_cases) {
+        ScopedEnv env(c.knob, c.value);
+        try {
+            sim::SimOptions::fromEnv();
+            ADD_FAILURE() << c.knob << "=" << c.value << " accepted";
+        } catch (const verify::SimError &e) {
+            EXPECT_EQ(e.kind(), verify::ErrorKind::Config) << c.knob;
+            EXPECT_NE(e.reason().find(c.knob), std::string::npos)
+                << e.reason();
+        }
+    }
+    for (const char *flag : {"--jobs=", "--jobs=0", "--sample-warmup=12abc",
+                             "--hybrid-degree=+2", "--hybrid-psel-bits=0"}) {
+        sim::SimOptions opt;
+        std::string arg = flag;
+        std::string name = arg.substr(0, arg.find('='));
+        try {
+            opt.applyFlag(flag);
+            ADD_FAILURE() << flag << " accepted";
+        } catch (const verify::SimError &e) {
+            EXPECT_EQ(e.kind(), verify::ErrorKind::Config) << flag;
+            EXPECT_NE(e.reason().find(name), std::string::npos)
+                << e.reason();
+        }
+    }
+}
+
+TEST(SimOptionsKnobs, SwitchesAndIntegersShareOneSpelling)
+{
+    {
+        ScopedEnv quick("BERTI_BENCH_QUICK", "true");
+        ScopedEnv skip("BERTI_CYCLE_SKIP", "off");
+        ScopedEnv seed("BERTI_TEST_SEED", "0xabc123");
+        ScopedEnv empty("BERTI_JOBS", "");
+        sim::SimOptions opt = sim::SimOptions::fromEnv();
+        EXPECT_TRUE(opt.benchQuick);
+        EXPECT_FALSE(opt.cycleSkip);
+        EXPECT_TRUE(opt.hasTestSeed);
+        EXPECT_EQ(opt.testSeed, 0xabc123u);
+        EXPECT_EQ(opt.jobs, 0u);  // empty = unset
+    }
+    sim::SimOptions opt;
+    EXPECT_TRUE(opt.applyFlag("--quick"));
+    EXPECT_TRUE(opt.applyFlag("--verify"));
+    EXPECT_TRUE(opt.applyFlag("--no-cycle-skip"));
+    EXPECT_TRUE(opt.applyFlag("--hybrid-degree=2"));
+    EXPECT_TRUE(opt.benchQuick);
+    EXPECT_TRUE(opt.verify);
+    EXPECT_FALSE(opt.cycleSkip);
+    EXPECT_EQ(opt.hybridDegree, 2u);
+    EXPECT_EQ(sim::parseInteger("n", "0x10", 0), 16u);
+
+    // --verify reaches the machine through the shared options mapping.
+    SimParams p;
+    p.applyOptions(opt);
+    EXPECT_TRUE(p.forceAudit);
 }
 
 // --------------------------------------- sampled vs full-run goldens

@@ -23,6 +23,7 @@
 #include "sim/ring.hh"
 #include "trace/instr.hh"
 #include "trace/registry.hh"
+#include "test_util.hh"
 
 // ------------------------------------------------------- allocation probe
 // Global operator new/delete override counting every heap allocation in
@@ -78,33 +79,7 @@ namespace berti
 namespace
 {
 
-/** Scoped environment override; restores the previous value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : key(name)
-    {
-        const char *old = std::getenv(name);
-        if (old) {
-            had = true;
-            previous = old;
-        }
-        setenv(name, value, 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            setenv(key, previous.c_str(), 1);
-        else
-            unsetenv(key);
-    }
-
-  private:
-    const char *key;
-    bool had = false;
-    std::string previous;
-};
+using test::ScopedEnv;
 
 // ================================================================ RingQueue
 
@@ -280,13 +255,13 @@ TEST(CycleSkip, MultiCoreMixIsBitIdentical)
     std::vector<std::string> off, on;
     {
         ScopedEnv env("BERTI_CYCLE_SKIP", "0");
-        for (const SimResult &r : simulateMix(mix, spec, params))
-            off.push_back(obs::toJson(resultSnapshot(r)));
+        for (const SampledResult &r : simulateMix(mix, spec, params))
+            off.push_back(obs::toJson(resultSnapshot(r.aggregate)));
     }
     {
         ScopedEnv env("BERTI_CYCLE_SKIP", "1");
-        for (const SimResult &r : simulateMix(mix, spec, params))
-            on.push_back(obs::toJson(resultSnapshot(r)));
+        for (const SampledResult &r : simulateMix(mix, spec, params))
+            on.push_back(obs::toJson(resultSnapshot(r.aggregate)));
     }
     ASSERT_EQ(off.size(), on.size());
     for (std::size_t c = 0; c < off.size(); ++c)

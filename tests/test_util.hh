@@ -1,21 +1,99 @@
 /**
  * @file
- * Shared test helpers: a scripted prefetch port that records issued
- * requests, and a fixed-latency backing memory for driving a Cache in
- * isolation.
+ * Shared test helpers: a scoped environment override, the result
+ * matrix on a fixed job count, a scripted prefetch port that records
+ * issued requests, and a fixed-latency backing memory for driving a
+ * Cache in isolation.
  */
 
 #ifndef BERTI_TESTS_TEST_UTIL_HH
 #define BERTI_TESTS_TEST_UTIL_HH
 
+#include <cstdlib>
 #include <deque>
+#include <string>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "harness/supervisor.hh"
 #include "mem/cache.hh"
+#include "obs/export.hh"
 #include "prefetch/prefetcher.hh"
 
 namespace berti::test
 {
+
+/** Scoped environment override (null value = unset); restores the
+ *  previous value on exit so tests do not leak into each other. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : key(name)
+    {
+        if (const char *old = std::getenv(name)) {
+            had = true;
+            previous = old;
+        }
+        if (value)
+            setenv(name, value, 1);
+        else
+            unsetenv(name);
+    }
+
+    ~ScopedEnv()
+    {
+        if (had)
+            setenv(key, previous.c_str(), 1);
+        else
+            unsetenv(key);
+    }
+
+  private:
+    const char *key;
+    bool had = false;
+    std::string previous;
+};
+
+/** Byte-exact export of one result: what every bit-identity check
+ *  compares. */
+inline std::string
+resultJson(const SimResult &r)
+{
+    return obs::toJson(resultSnapshot(r));
+}
+
+/** out[spec][workload] through the one matrix runner on `jobs`
+ *  workers; a failed cell rethrows its original exception. */
+inline std::vector<std::vector<SimResult>>
+runGrid(const std::vector<Workload> &workloads,
+        const std::vector<PrefetcherSpec> &specs, const SimParams &params,
+        unsigned jobs)
+{
+    harness::SupervisorConfig cfg;
+    cfg.maxAttempts = 1;
+    cfg.jobs = jobs;
+    return harness::runSupervisedMatrix(workloads, specs, params, cfg)
+        .results();
+}
+
+/** The matrix on one worker and on `jobs` workers must export the same
+ *  bytes, cell for cell. */
+inline void
+expectJobCountInvariant(const std::vector<Workload> &workloads,
+                        const std::vector<PrefetcherSpec> &specs,
+                        const SimParams &params, unsigned jobs)
+{
+    auto one = runGrid(workloads, specs, params, 1);
+    auto many = runGrid(workloads, specs, params, jobs);
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            EXPECT_EQ(resultJson(one[s][w]), resultJson(many[s][w]))
+                << specs[s].name << "/" << workloads[w].name << " at "
+                << jobs << " jobs";
+        }
+    }
+}
 
 /** Records every prefetch a prefetcher under test issues. */
 class RecordingPort : public PrefetchPort

@@ -23,13 +23,20 @@
  *     --sample-warmup=N     per-window warmup instructions
  *     --sample-measure=N    per-window measured instructions (> 0)
  *     --sample-stride=N     window start spacing (0 = back-to-back)
- *     --jobs=N              worker threads (0 = auto)
+ *     --hybrid-*=N          hybrid selector geometry
+ *     --jobs=N              worker threads (default: BERTI_JOBS, else
+ *                           all hardware threads)
  *     --attempts=N          max attempts per cell (default 3)
  *     --deadline-ms=N       per-simulation wall-clock budget
  *     --backoff-ms=N        base retry backoff (default 10)
  *     --rerun-failed        retry cells quarantined by earlier sweeps
  *     --poison=SPEC/WORKLOAD  deterministically fail that cell (tests)
  *     --quick               tiny warmup/measure for smoke tests
+ *
+ * The flags shared with the benches (--jobs, --mem-backend, --sample-*,
+ * --hybrid-*) and their BERTI_* environment variables parse through
+ * SimOptions; every numeric flag is strict, and a malformed one is a
+ * typed Config error.
  *
  * Exit status: 0 all cells ok, 2 when any cell is quarantined (the
  * rest of the matrix still completed and was stored), 1 on usage or
@@ -57,14 +64,6 @@ namespace
 
 using namespace berti;
 
-/** Split on commas at paren depth 0, so composed specs like
- *  "hybrid(berti,cmc)" stay one list element. */
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    return sim::splitTopLevel(csv, ',');
-}
-
 struct Options
 {
     std::vector<std::string> workloads = {"mcf-like.472",
@@ -73,8 +72,8 @@ struct Options
     std::vector<std::string> specs = {"none", "berti"};
     std::string storeDir;
     std::string outDir;
+    sim::SimOptions simOpt = sim::SimOptions::fromEnv();
     SimParams params;
-    unsigned jobs = 0;
     unsigned attempts = 3;
     std::uint64_t backoffMs = 10;
     bool rerunFailed = false;
@@ -82,6 +81,8 @@ struct Options
     std::string poisonWorkload;
 };
 
+/** False on a usage error (reported on stderr); malformed values throw
+ *  verify::SimError(ErrorKind::Config). */
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -96,43 +97,33 @@ parseArgs(int argc, char **argv, Options &opt)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         std::string v;
+        // Lists split on commas at paren depth 0, so composed specs
+        // like "hybrid(berti,cmc)" stay one element.
         if (valueOf(arg, "--workloads=", v)) {
-            opt.workloads = splitList(v);
+            opt.workloads = sim::splitTopLevel(v, ',');
         } else if (valueOf(arg, "--specs=", v)) {
-            opt.specs = splitList(v);
+            opt.specs = sim::splitTopLevel(v, ',');
         } else if (valueOf(arg, "--store=", v)) {
             opt.storeDir = v;
         } else if (valueOf(arg, "--out=", v)) {
             opt.outDir = v;
         } else if (valueOf(arg, "--warmup=", v)) {
-            opt.params.warmupInstructions = std::stoull(v);
+            opt.params.warmupInstructions =
+                sim::parseInteger("--warmup", v, 0);
         } else if (valueOf(arg, "--measure=", v)) {
-            opt.params.measureInstructions = std::stoull(v);
+            opt.params.measureInstructions =
+                sim::parseInteger("--measure", v, 0);
         } else if (valueOf(arg, "--dram-mtps=", v)) {
-            opt.params.dramMtps = static_cast<unsigned>(std::stoul(v));
-        } else if (valueOf(arg, "--mem-backend=", v)) {
-            opt.params.memBackend = v;
-        } else if (valueOf(arg, "--sample-windows=", v)) {
-            opt.params.sampling.windowCount =
-                static_cast<unsigned>(std::stoul(v));
-        } else if (valueOf(arg, "--sample-warmup=", v)) {
-            opt.params.sampling.windowWarmup = std::stoull(v);
-        } else if (valueOf(arg, "--sample-measure=", v)) {
-            opt.params.sampling.windowMeasure = std::stoull(v);
-            if (opt.params.sampling.windowMeasure == 0) {
-                std::cerr << "error: --sample-measure must be > 0\n";
-                return false;
-            }
-        } else if (valueOf(arg, "--sample-stride=", v)) {
-            opt.params.sampling.windowStride = std::stoull(v);
-        } else if (valueOf(arg, "--jobs=", v)) {
-            opt.jobs = static_cast<unsigned>(std::stoul(v));
+            opt.params.dramMtps = static_cast<unsigned>(
+                sim::parseInteger("--dram-mtps", v, 1));
         } else if (valueOf(arg, "--attempts=", v)) {
-            opt.attempts = static_cast<unsigned>(std::stoul(v));
+            opt.attempts = static_cast<unsigned>(
+                sim::parseInteger("--attempts", v, 0));
         } else if (valueOf(arg, "--deadline-ms=", v)) {
-            opt.params.wallClockBudgetMs = std::stoull(v);
+            opt.params.wallClockBudgetMs =
+                sim::parseInteger("--deadline-ms", v, 0);
         } else if (valueOf(arg, "--backoff-ms=", v)) {
-            opt.backoffMs = std::stoull(v);
+            opt.backoffMs = sim::parseInteger("--backoff-ms", v, 0);
         } else if (arg == "--rerun-failed") {
             opt.rerunFailed = true;
         } else if (valueOf(arg, "--poison=", v)) {
@@ -147,27 +138,19 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.params.warmupInstructions = 2000;
             opt.params.measureInstructions = 10000;
         } else {
-            std::cerr << "error: unknown argument '" << arg << "'\n";
-            return false;
+            // The flags shared with the benches parse through SimOptions.
+            bool shared = arg.rfind("--jobs=", 0) == 0 ||
+                          arg.rfind("--mem-backend=", 0) == 0 ||
+                          arg.rfind("--sample-", 0) == 0 ||
+                          arg.rfind("--hybrid-", 0) == 0;
+            if (!shared || !opt.simOpt.applyFlag(arg)) {
+                std::cerr << "error: unknown argument '" << arg << "'\n";
+                return false;
+            }
         }
     }
+    opt.params.applyOptions(opt.simOpt);
     return !opt.workloads.empty() && !opt.specs.empty();
-}
-
-/** File-name-safe form of a spec/workload label (file: URIs carry
- *  slashes and colons that cannot appear in a sidecar file name). */
-std::string
-sanitizeLabel(const std::string &label)
-{
-    std::string out;
-    out.reserve(label.size());
-    for (char c : label) {
-        bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                  (c >= '0' && c <= '9') || c == '-' || c == '.' ||
-                  c == '_';
-        out.push_back(ok ? c : '-');
-    }
-    return out.empty() ? std::string("unnamed") : out;
 }
 
 /** Sidecar path for one cell under --out (no store key in the name:
@@ -176,8 +159,8 @@ std::string
 sidecarPath(const std::string &dir, const std::string &spec,
             const std::string &workload)
 {
-    return dir + "/" + sanitizeLabel(spec) + "__" +
-           sanitizeLabel(workload) + ".json";
+    return dir + "/" + obs::sanitizeLabel(spec) + "__" +
+           obs::sanitizeLabel(workload) + ".json";
 }
 
 } // namespace
@@ -185,21 +168,19 @@ sidecarPath(const std::string &dir, const std::string &spec,
 int
 main(int argc, char **argv)
 {
-    Options opt;
-    if (!parseArgs(argc, argv, opt))
-        return 1;
-
     try {
+        Options opt;
+        if (!parseArgs(argc, argv, opt))
+            return 1;
+
         std::vector<Workload> workloads;
         for (const std::string &name : opt.workloads)
             workloads.push_back(resolveWorkload(name));
-        // Options-aware resolution: hybrid specs pick up the
-        // BERTI_HYBRID_* selector geometry and canonicalize their
-        // store-key names accordingly.
-        const sim::SimOptions simOpt = sim::SimOptions::fromEnv();
+        // Options-aware resolution: hybrid specs pick up the selector
+        // geometry and canonicalize their store-key names accordingly.
         std::vector<PrefetcherSpec> specs;
         for (const std::string &name : opt.specs)
-            specs.push_back(makeSpec(name, simOpt));
+            specs.push_back(makeSpec(name, opt.simOpt));
 
         std::unique_ptr<harness::ResultStore> store;
         if (!opt.storeDir.empty()) {
@@ -217,7 +198,7 @@ main(int argc, char **argv)
         sup.backoffBaseMs = opt.backoffMs;
         sup.store = store.get();
         sup.rerunFailed = opt.rerunFailed;
-        sup.jobs = opt.jobs;
+        sup.jobs = opt.simOpt.jobs;
         sup.progress = stderrProgress("sweep");
         if (!opt.poisonSpec.empty()) {
             std::string pspec = opt.poisonSpec;
