@@ -78,52 +78,58 @@ setTestSeed(SimOptions &o, const std::string &name, const std::string &text)
  * the bare flag switches the knob on) and how its text lands in
  * SimOptions. Counts give their minimum: 0 is meaningful for sampling
  * windows/warmup/stride and the hybrid degree, everything else must be
- * positive.
+ * positive. An empty count is malformed like any other bad number; an
+ * empty switch or text variable keeps its default.
  */
 struct Knob
 {
     const char *env;
     const char *flag;
     Setter set;
+    bool count = false;
 };
 
 using O = SimOptions;
 
 constexpr Knob kKnobs[] = {
-    {"BERTI_JOBS", "--jobs=", setCount<&O::jobs, 1>},
+    {"BERTI_JOBS", "--jobs=", setCount<&O::jobs, 1>, true},
     {"BERTI_CYCLE_SKIP", "--cycle-skip", setSwitch<&O::cycleSkip>},
     {"BERTI_SAMPLE_WINDOWS", "--sample-windows=",
-     setCount<&O::sampleWindows, 0>},
+     setCount<&O::sampleWindows, 0>, true},
     {"BERTI_SAMPLE_WARMUP", "--sample-warmup=",
-     setCount<&O::sampleWarmup, 0>},
+     setCount<&O::sampleWarmup, 0>, true},
     {"BERTI_SAMPLE_MEASURE", "--sample-measure=",
-     setCount<&O::sampleMeasure, 1>},
+     setCount<&O::sampleMeasure, 1>, true},
     {"BERTI_SAMPLE_STRIDE", "--sample-stride=",
-     setCount<&O::sampleStride, 0>},
-    {"BERTI_OBS_INTERVAL", nullptr, setCount<&O::obsInterval, 1>},
-    {"BERTI_OBS_RING", nullptr, setCount<&O::obsRing, 1>},
-    {"BERTI_OBS_PFTRACE", nullptr, setCount<&O::pfTraceCapacity, 1>},
-    {"BERTI_OBS_PFTRACE_PERIOD", nullptr, setCount<&O::pfTracePeriod, 1>},
+     setCount<&O::sampleStride, 0>, true},
+    {"BERTI_OBS_INTERVAL", nullptr, setCount<&O::obsInterval, 1>, true},
+    {"BERTI_OBS_RING", nullptr, setCount<&O::obsRing, 1>, true},
+    {"BERTI_OBS_PFTRACE", nullptr, setCount<&O::pfTraceCapacity, 1>,
+     true},
+    {"BERTI_OBS_PFTRACE_PERIOD", nullptr, setCount<&O::pfTracePeriod, 1>,
+     true},
     {"BERTI_STATS_DIR", "--stats-dir=", setText<&O::statsDir>},
     {"BERTI_TRACE_WORKLOADS", "--trace-workloads=",
      setText<&O::traceWorkloads>},
     {"BERTI_MEM_BACKEND", "--mem-backend=", setText<&O::memBackend>},
     {"BERTI_VERIFY", "--verify", setSwitch<&O::verify>},
-    {"BERTI_VERIFY_INTERVAL", nullptr, setCount<&O::verifyInterval, 1>},
+    {"BERTI_VERIFY_INTERVAL", nullptr, setCount<&O::verifyInterval, 1>,
+     true},
     {"BERTI_HYBRID_DEGREE", "--hybrid-degree=",
-     setCount<&O::hybridDegree, 0>},
+     setCount<&O::hybridDegree, 0>, true},
     {"BERTI_HYBRID_CREDITS", "--hybrid-credits=",
-     setCount<&O::hybridCreditEntries, 1>},
+     setCount<&O::hybridCreditEntries, 1>, true},
     {"BERTI_HYBRID_CREDIT_MAX", "--hybrid-credit-max=",
-     setCount<&O::hybridCreditMax, 1>},
+     setCount<&O::hybridCreditMax, 1>, true},
     {"BERTI_HYBRID_DUEL_SETS", "--hybrid-duel-sets=",
-     setCount<&O::hybridDuelSets, 1>},
+     setCount<&O::hybridDuelSets, 1>, true},
     {"BERTI_HYBRID_PSEL_BITS", "--hybrid-psel-bits=",
-     setCount<&O::hybridPselBits, 1>},
+     setCount<&O::hybridPselBits, 1>, true},
     {"BERTI_BENCH_QUICK", "--quick", setSwitch<&O::benchQuick>},
     {"BERTI_UPDATE_GOLDENS", nullptr, setSwitch<&O::updateGoldens>},
-    {"BERTI_TEST_SEED", nullptr, setTestSeed},
-    {"BERTI_PROP_ITERS", nullptr, setCount<&O::propIterMultiplier, 1>},
+    {"BERTI_TEST_SEED", nullptr, setTestSeed, true},
+    {"BERTI_PROP_ITERS", nullptr, setCount<&O::propIterMultiplier, 1>,
+     true},
     {"BERTI_ARTIFACT_DIR", nullptr, setText<&O::artifactDir>},
 };
 
@@ -155,11 +161,11 @@ parseInteger(const std::string &name, const std::string &text,
 SimOptions
 SimOptions::fromEnv()
 {
-    // An unset or empty variable keeps the documented default; any
-    // other value must parse, or it is a typed Config error.
+    // An unset variable keeps the documented default; any other value
+    // must parse, or it is a typed Config error.
     SimOptions opt;
     for (const Knob &k : kKnobs) {
-        if (const char *v = std::getenv(k.env); v && *v)
+        if (const char *v = std::getenv(k.env); v && (*v || k.count))
             k.set(opt, k.env, v);
     }
     return opt;

@@ -144,9 +144,10 @@ struct SimOptions
     /**
      * Parse every knob from the environment. Malformed values throw
      * verify::SimError(ErrorKind::Config) naming the offending
-     * variable. Unset or empty variables keep the documented defaults
-     * above. Integers go through parseInteger; switches take
-     * 1/true/on/yes or 0/false/off/no.
+     * variable. Unset variables, and empty switches or text, keep the
+     * documented defaults above; an empty integer is malformed.
+     * Integers go through parseInteger; switches take 1/true/on/yes or
+     * 0/false/off/no.
      */
     static SimOptions fromEnv();
 

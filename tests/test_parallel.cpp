@@ -213,7 +213,7 @@ TEST(Parallel, ProgressIsMonotonicAndComplete)
 
 TEST(Parallel, BadBertiJobsIsTypedConfigError)
 {
-    for (const char *bad : {"0", "-3", "lots", "4x", " 2"}) {
+    for (const char *bad : {"", "0", "-3", "lots", "4x", " 2"}) {
         ScopedEnv env("BERTI_JOBS", bad);
         try {
             parallelJobCount();

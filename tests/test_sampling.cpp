@@ -383,9 +383,11 @@ TEST(SimOptionsKnobs, MalformedValuesAreConfigErrorsNamingTheKnob)
         const char *value;
     };
     const Bad env_cases[] = {
+        {"BERTI_JOBS", ""},
         {"BERTI_JOBS", "0"},
         {"BERTI_JOBS", "4x"},
         {"BERTI_SAMPLE_WINDOWS", "-1"},
+        {"BERTI_TEST_SEED", ""},
         {"BERTI_SAMPLE_MEASURE", "0"},
         {"BERTI_OBS_RING", "1e3"},
         {"BERTI_VERIFY_INTERVAL", "abc"},
@@ -432,13 +434,13 @@ TEST(SimOptionsKnobs, SwitchesAndIntegersShareOneSpelling)
         ScopedEnv quick("BERTI_BENCH_QUICK", "true");
         ScopedEnv skip("BERTI_CYCLE_SKIP", "off");
         ScopedEnv seed("BERTI_TEST_SEED", "0xabc123");
-        ScopedEnv empty("BERTI_JOBS", "");
+        ScopedEnv empty("BERTI_ARTIFACT_DIR", "");
         sim::SimOptions opt = sim::SimOptions::fromEnv();
         EXPECT_TRUE(opt.benchQuick);
         EXPECT_FALSE(opt.cycleSkip);
         EXPECT_TRUE(opt.hasTestSeed);
         EXPECT_EQ(opt.testSeed, 0xabc123u);
-        EXPECT_EQ(opt.jobs, 0u);  // empty = unset
+        EXPECT_EQ(opt.artifactDir, ".");  // empty text = unset
     }
     sim::SimOptions opt;
     EXPECT_TRUE(opt.applyFlag("--quick"));

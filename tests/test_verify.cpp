@@ -4,7 +4,6 @@
  *  forward-progress watchdog, fault-injector determinism, and Berti's
  *  counter self-consistency under injected latency variance. */
 
-#include <cstdlib>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -90,58 +89,21 @@ TEST(ResultTest, ValueAndErrorPaths)
 
 // ------------------------------------------------- env-driven enabling
 
-class AuditEnvTest : public ::testing::Test
+TEST(AuditEnvTest, FromEnvHonoursVerifyFlag)
 {
-  protected:
-    void
-    SetUp() override
+    test::ScopedEnv interval("BERTI_VERIFY_INTERVAL", nullptr);
     {
-        saveVerify = getSaved("BERTI_VERIFY", hadVerify);
-        saveInterval = getSaved("BERTI_VERIFY_INTERVAL", hadInterval);
+        test::ScopedEnv verify("BERTI_VERIFY", nullptr);
+        EXPECT_FALSE(AuditConfig::fromEnv().enabled);
     }
-
-    void
-    TearDown() override
     {
-        restore("BERTI_VERIFY", hadVerify, saveVerify);
-        restore("BERTI_VERIFY_INTERVAL", hadInterval, saveInterval);
+        test::ScopedEnv verify("BERTI_VERIFY", "0");
+        EXPECT_FALSE(AuditConfig::fromEnv().enabled);
     }
-
-  private:
-    static std::string
-    getSaved(const char *name, bool &had)
-    {
-        const char *v = std::getenv(name);
-        had = v != nullptr;
-        return had ? v : "";
-    }
-
-    static void
-    restore(const char *name, bool had, const std::string &value)
-    {
-        if (had)
-            setenv(name, value.c_str(), 1);
-        else
-            unsetenv(name);
-    }
-
-    std::string saveVerify, saveInterval;
-    bool hadVerify = false, hadInterval = false;
-};
-
-TEST_F(AuditEnvTest, FromEnvHonoursVerifyFlag)
-{
-    unsetenv("BERTI_VERIFY");
-    unsetenv("BERTI_VERIFY_INTERVAL");
-    EXPECT_FALSE(AuditConfig::fromEnv().enabled);
-
-    setenv("BERTI_VERIFY", "0", 1);
-    EXPECT_FALSE(AuditConfig::fromEnv().enabled);
-
-    setenv("BERTI_VERIFY", "1", 1);
+    test::ScopedEnv verify("BERTI_VERIFY", "1");
     EXPECT_TRUE(AuditConfig::fromEnv().enabled);
 
-    setenv("BERTI_VERIFY_INTERVAL", "123", 1);
+    test::ScopedEnv interval123("BERTI_VERIFY_INTERVAL", "123");
     AuditConfig cfg = AuditConfig::fromEnv();
     EXPECT_TRUE(cfg.enabled);
     EXPECT_EQ(cfg.interval, 123u);

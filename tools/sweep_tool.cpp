@@ -32,11 +32,13 @@
  *     --rerun-failed        retry cells quarantined by earlier sweeps
  *     --poison=SPEC/WORKLOAD  deterministically fail that cell (tests)
  *     --quick               tiny warmup/measure for smoke tests
+ *     --verify              run the invariant auditor in every cell
  *
- * The flags shared with the benches (--jobs, --mem-backend, --sample-*,
- * --hybrid-*) and their BERTI_* environment variables parse through
- * SimOptions; every numeric flag is strict, and a malformed one is a
- * typed Config error.
+ * Every other argument must be a SimOptions flag. SimOptions parses the
+ * flags shared with the benches and their BERTI_* environment
+ * variables, and SimParams::applyOptions carries them into each cell.
+ * Every numeric flag is strict, and a malformed one is a typed Config
+ * error.
  *
  * Exit status: 0 all cells ok, 2 when any cell is quarantined (the
  * rest of the matrix still completed and was stored), 1 on usage or
@@ -137,16 +139,9 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--quick") {
             opt.params.warmupInstructions = 2000;
             opt.params.measureInstructions = 10000;
-        } else {
-            // The flags shared with the benches parse through SimOptions.
-            bool shared = arg.rfind("--jobs=", 0) == 0 ||
-                          arg.rfind("--mem-backend=", 0) == 0 ||
-                          arg.rfind("--sample-", 0) == 0 ||
-                          arg.rfind("--hybrid-", 0) == 0;
-            if (!shared || !opt.simOpt.applyFlag(arg)) {
-                std::cerr << "error: unknown argument '" << arg << "'\n";
-                return false;
-            }
+        } else if (!opt.simOpt.applyFlag(arg)) {
+            std::cerr << "error: unknown argument '" << arg << "'\n";
+            return false;
         }
     }
     opt.params.applyOptions(opt.simOpt);
