@@ -449,84 +449,33 @@ BertiPrefetcher::deltasFor(Addr ip) const
 }
 
 void
-BertiPrefetcher::saveState(sim::ByteWriter &w) const
+BertiPrefetcher::visitState(sim::StateIO &io)
 {
-    w.u64(orderTick);
-    w.u64(historySearches);
-    w.u64(timelyDeltasFound);
-    w.u64(phaseCompletions);
-    w.u32(static_cast<std::uint32_t>(history.size()));
-    for (const HistoryEntry &h : history) {
-        w.b(h.valid);
-        w.u16(h.ipTag);
-        w.u64(h.line);
-        w.u64(h.ts);
-        w.u64(h.order);
-    }
-    w.u32(static_cast<std::uint32_t>(table.size()));
-    for (const DeltaEntry &e : table) {
-        w.b(e.valid);
-        w.u16(e.ipTag);
-        w.u8(e.counter);
-        w.b(e.warm);
-        w.u16(e.gathered);
-        w.u64(e.order);
-        w.u32(static_cast<std::uint32_t>(e.slots.size()));
-        for (const DeltaSlot &s : e.slots) {
-            w.b(s.valid);
-            w.i64(s.delta);
-            w.u8(s.coverage);
-            w.u8(static_cast<std::uint8_t>(s.status));
-        }
-    }
-}
-
-void
-BertiPrefetcher::loadState(sim::ByteReader &r)
-{
-    orderTick = r.u64();
-    historySearches = r.u64();
-    timelyDeltasFound = r.u64();
-    phaseCompletions = r.u64();
-    std::uint32_t nh = r.u32();
-    if (nh != history.size()) {
-        r.fail("Berti history size " + std::to_string(nh) +
-               " does not match the live table's " +
-               std::to_string(history.size()));
-    }
-    for (HistoryEntry &h : history) {
-        h.valid = r.b();
-        h.ipTag = r.u16();
-        h.line = r.u64();
-        h.ts = r.u64();
-        h.order = r.u64();
-    }
-    std::uint32_t nt = r.u32();
-    if (nt != table.size()) {
-        r.fail("Berti delta table size " + std::to_string(nt) +
-               " does not match the live table's " +
-               std::to_string(table.size()));
-    }
-    for (DeltaEntry &e : table) {
-        e.valid = r.b();
-        e.ipTag = r.u16();
-        e.counter = r.u8();
-        e.warm = r.b();
-        e.gathered = r.u16();
-        e.order = r.u64();
-        std::uint32_t ns = r.u32();
-        if (ns != e.slots.size()) {
-            r.fail("Berti delta slot count " + std::to_string(ns) +
-                   " does not match the live entry's " +
-                   std::to_string(e.slots.size()));
-        }
-        for (DeltaSlot &s : e.slots) {
-            s.valid = r.b();
-            s.delta = static_cast<int>(r.i64());
-            s.coverage = r.u8();
-            s.status = static_cast<DeltaStatus>(r.u8());
-        }
-    }
+    io.u64(orderTick);
+    io.u64(historySearches);
+    io.u64(timelyDeltasFound);
+    io.u64(phaseCompletions);
+    io.fixed("history", history, [&io](HistoryEntry &h) {
+        io.b(h.valid);
+        io.u16(h.ipTag);
+        io.u64(h.line);
+        io.u64(h.ts);
+        io.u64(h.order);
+    });
+    io.fixed("table", table, [&io](DeltaEntry &e) {
+        io.b(e.valid);
+        io.u16(e.ipTag);
+        io.u8(e.counter);
+        io.b(e.warm);
+        io.u16(e.gathered);
+        io.u64(e.order);
+        io.fixed("slots", e.slots, [&io](DeltaSlot &s) {
+            io.b(s.valid);
+            io.i64(s.delta);
+            io.u8(s.coverage);
+            io.u8(s.status);
+        });
+    });
 }
 
 } // namespace berti

@@ -136,8 +136,7 @@ class BertiPrefetcher final : public Prefetcher
     std::string debugState() const override;
 
     bool checkpointSupported() const override { return true; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
     /** Learned deltas of an IP (empty when the IP is untracked). */
     std::vector<DeltaInfo> deltasFor(Addr ip) const;

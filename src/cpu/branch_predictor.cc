@@ -59,24 +59,11 @@ BranchPredictor::update(Addr ip, bool taken)
 }
 
 void
-BranchPredictor::saveState(sim::ByteWriter &w) const
+BranchPredictor::visitState(sim::StateIO &io)
 {
-    w.u64(history);
-    w.u32(static_cast<std::uint32_t>(weights.size()));
-    w.bytes(weights.data(), weights.size());
-}
-
-void
-BranchPredictor::loadState(sim::ByteReader &r)
-{
-    history = r.u64();
-    std::uint32_t n = r.u32();
-    if (n != weights.size()) {
-        r.fail("branch predictor weight count " + std::to_string(n) +
-               " does not match the live predictor's " +
-               std::to_string(weights.size()));
-    }
-    r.bytes(weights.data(), weights.size());
+    io.u64(history);
+    io.count("weights", weights.size());
+    io.bytes(weights.data(), weights.size());
 }
 
 } // namespace berti

@@ -19,8 +19,7 @@ namespace berti
 
 namespace sim
 {
-class ByteWriter;
-class ByteReader;
+class StateIO;
 } // namespace sim
 
 class BranchPredictor
@@ -43,9 +42,8 @@ class BranchPredictor
     /** Train with the actual outcome and shift the global history. */
     void update(Addr ip, bool taken);
 
-    /** Checkpoint hooks: global history + all weight tables. */
-    void saveState(sim::ByteWriter &w) const;
-    void loadState(sim::ByteReader &r);
+    /** Checkpoint walk: global history + all weight tables. */
+    void visitState(sim::StateIO &io);
 
   private:
     int sum(Addr ip) const;

@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include "obs/metrics.hh"
+#include "sim/serialize.hh"
 
 namespace berti
 {
@@ -261,124 +262,47 @@ Core::registerMetrics(obs::MetricsRegistry &registry,
     itlb.registerMetrics(registry, prefix + "itlb.");
 }
 
-namespace
-{
-
 void
-saveTraceInstr(sim::ByteWriter &w, const TraceInstr &i)
+Core::visitState(sim::StateIO &io)
 {
-    w.u64(i.ip);
-    w.u64(i.load0);
-    w.u64(i.load1);
-    w.u64(i.store);
-    w.b(i.isBranch);
-    w.b(i.taken);
-    w.b(i.dependsOnPrevLoad);
-}
+    io.tag(0xC03E0000u + coreId, "core");
+    io.stats("stats", stats);
+    io.section("branch", [&] { branch.visitState(io); });
+    io.section("itlb", [&] { itlb.visitState(io); });
 
-TraceInstr
-loadTraceInstr(sim::ByteReader &r)
-{
-    TraceInstr i;
-    i.ip = r.u64();
-    i.load0 = r.u64();
-    i.load1 = r.u64();
-    i.store = r.u64();
-    i.isBranch = r.b();
-    i.taken = r.b();
-    i.dependsOnPrevLoad = r.b();
-    return i;
-}
+    io.list("rob", rob, [&io](RobEntry &e) {
+        io.u64(e.id);
+        io.b(e.done);
+        io.u8(e.pendingLoads);
+    });
+    io.list("fetch_buffer", fetchBuffer, [&io](FetchedInstr &f) {
+        io.u64(f.instr.ip);
+        io.u64(f.instr.load0);
+        io.u64(f.instr.load1);
+        io.u64(f.instr.store);
+        io.b(f.instr.isBranch);
+        io.b(f.instr.taken);
+        io.b(f.instr.dependsOnPrevLoad);
+        io.u64(f.id);
+        io.u64(f.depLoadId);
+    });
+    io.list("pending", pendingAccesses, [&io](PendingAccess &p) {
+        io.request(p.req);
+        io.u64(p.readyCycle);
+        io.b(p.isStore);
+    });
+    std::vector<std::uint64_t> loads = outstandingLoads.raw();
+    io.list("outstanding_loads", loads,
+            [&io](std::uint64_t &id) { io.u64(id); });
+    if (io.loading())
+        outstandingLoads.assign(std::move(loads));
 
-} // namespace
-
-void
-Core::saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
-{
-    w.tag(0xC03E0000u + coreId);
-    saveStatsFields(w, stats);
-    branch.saveState(w);
-    itlb.saveState(w);
-
-    w.u32(static_cast<std::uint32_t>(rob.size()));
-    for (const RobEntry &e : rob) {
-        w.u64(e.id);
-        w.b(e.done);
-        w.u8(e.pendingLoads);
-    }
-    w.u32(static_cast<std::uint32_t>(fetchBuffer.size()));
-    for (const FetchedInstr &f : fetchBuffer) {
-        saveTraceInstr(w, f.instr);
-        w.u64(f.id);
-        w.u64(f.depLoadId);
-    }
-    w.u32(static_cast<std::uint32_t>(pendingAccesses.size()));
-    for (const PendingAccess &p : pendingAccesses) {
-        saveRequest(w, clients, p.req);
-        w.u64(p.readyCycle);
-        w.b(p.isStore);
-    }
-    const std::vector<std::uint64_t> &loads = outstandingLoads.raw();
-    w.u32(static_cast<std::uint32_t>(loads.size()));
-    for (std::uint64_t id : loads)
-        w.u64(id);
-
-    w.u64(nextInstrId);
-    w.u64(lastLoadId);
-    w.u64(fetchStallUntil);
-    w.u64(fetchLine);
-    w.b(fetchLinePending);
-    w.tag(0xC03E00FFu);
-}
-
-void
-Core::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
-{
-    r.expectTag(0xC03E0000u + coreId, "core");
-    loadStatsFields(r, stats);
-    branch.loadState(r);
-    itlb.loadState(r);
-
-    std::uint32_t nRob = r.u32();
-    rob.clear();
-    for (std::uint32_t i = 0; i < nRob; ++i) {
-        RobEntry e;
-        e.id = r.u64();
-        e.done = r.b();
-        e.pendingLoads = r.u8();
-        rob.push_back(e);
-    }
-    std::uint32_t nFetch = r.u32();
-    fetchBuffer.clear();
-    for (std::uint32_t i = 0; i < nFetch; ++i) {
-        FetchedInstr f;
-        f.instr = loadTraceInstr(r);
-        f.id = r.u64();
-        f.depLoadId = r.u64();
-        fetchBuffer.push_back(f);
-    }
-    std::uint32_t nPending = r.u32();
-    pendingAccesses.clear();
-    for (std::uint32_t i = 0; i < nPending; ++i) {
-        PendingAccess p;
-        p.req = loadRequest(r, clients);
-        p.readyCycle = r.u64();
-        p.isStore = r.b();
-        pendingAccesses.push_back(p);
-    }
-    std::uint32_t nLoads = r.u32();
-    std::vector<std::uint64_t> loads;
-    loads.reserve(nLoads);
-    for (std::uint32_t i = 0; i < nLoads; ++i)
-        loads.push_back(r.u64());
-    outstandingLoads.assign(std::move(loads));
-
-    nextInstrId = r.u64();
-    lastLoadId = r.u64();
-    fetchStallUntil = r.u64();
-    fetchLine = r.u64();
-    fetchLinePending = r.b();
-    r.expectTag(0xC03E00FFu, "core");
+    io.u64(nextInstrId);
+    io.u64(lastLoadId);
+    io.u64(fetchStallUntil);
+    io.u64(fetchLine);
+    io.b(fetchLinePending);
+    io.tag(0xC03E00FFu, "core");
 }
 
 } // namespace berti

@@ -106,12 +106,11 @@ class Core : public ReadClient
     std::uint64_t fetchedInstructions() const { return nextInstrId - 1; }
 
     /**
-     * Checkpoint hooks: stats, branch predictor, iTLB, ROB, fetch
+     * Checkpoint walk: stats, branch predictor, iTLB, ROB, fetch
      * buffer, pending accesses and the in-flight bookkeeping. The trace
      * generator itself is NOT serialized — see fetchedInstructions().
      */
-    void saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const;
-    void loadState(sim::ByteReader &r, const sim::PtrMap &clients);
+    void visitState(sim::StateIO &io);
 
     CoreStats stats;
 

@@ -151,87 +151,83 @@ Machine::clientMap() const
 }
 
 void
-Machine::savePayload(sim::ByteWriter &w, const sim::PtrMap &clients) const
+Machine::visitPayload(sim::StateIO &io)
 {
-    w.u64(clock);
     // cyclesSkipped is deliberately NOT serialized: it counts which
     // idle cycles the quiescence skip happened to fast-forward — a
     // wall-time diagnostic whose value depends on unserialized probe
     // backoff (and audit-deadline) state, not on simulated behaviour.
     // Including it would make byte-equal blobs depend on skip timing.
-    for (unsigned c = 0; c < cfg.cores; ++c) {
-        const CoreNode &n = *nodes[c];
-        n.cpu->saveState(w, clients);
-        n.l1iCache->saveState(w, clients);
-        n.l1dCache->saveState(w, clients);
-        n.l2Cache->saveState(w, clients);
-        n.tu->saveState(w);
-    }
-    llc->saveState(w, clients);
-    dram->saveState(w, clients);
-
-    // Per-core run() snapshots, so coreSnapshot() survives a resume.
-    w.tag(0x5A475000u);
-    for (const RunStats &s : snapshots) {
-        sim::saveStatsFields(w, s.core);
-        sim::saveStatsFields(w, s.l1i);
-        sim::saveStatsFields(w, s.l1d);
-        sim::saveStatsFields(w, s.l2);
-        sim::saveStatsFields(w, s.llc);
-        sim::saveStatsFields(w, s.dtlb);
-        sim::saveStatsFields(w, s.stlb);
-        sim::saveStatsFields(w, s.dram);
-    }
-}
-
-void
-Machine::loadPayload(sim::ByteReader &r, const sim::PtrMap &clients)
-{
-    clock = r.u64();
-    cyclesSkipped = 0;  // diagnostic; restarts with the new process
+    io.section("clock", [&] { io.u64(clock); });
     for (unsigned c = 0; c < cfg.cores; ++c) {
         CoreNode &n = *nodes[c];
-        n.cpu->loadState(r, clients);
-        n.l1iCache->loadState(r, clients);
-        n.l1dCache->loadState(r, clients);
-        n.l2Cache->loadState(r, clients);
-        n.tu->loadState(r);
+        io.section("core", c, [&] {
+            io.section("cpu", [&] { n.cpu->visitState(io); });
+            io.section("l1i", [&] { n.l1iCache->visitState(io); });
+            io.section("l1d", [&] { n.l1dCache->visitState(io); });
+            io.section("l2", [&] { n.l2Cache->visitState(io); });
+            io.section("tlb", [&] { n.tu->visitState(io); });
+        });
     }
-    llc->loadState(r, clients);
-    dram->loadState(r, clients);
+    io.section("llc", [&] { llc->visitState(io); });
+    io.section("dram", [&] { io.bridge(*dram); });
 
-    r.expectTag(0x5A475000u, "snapshots");
-    for (RunStats &s : snapshots) {
-        sim::loadStatsFields(r, s.core);
-        sim::loadStatsFields(r, s.l1i);
-        sim::loadStatsFields(r, s.l1d);
-        sim::loadStatsFields(r, s.l2);
-        sim::loadStatsFields(r, s.llc);
-        sim::loadStatsFields(r, s.dtlb);
-        sim::loadStatsFields(r, s.stlb);
-        sim::loadStatsFields(r, s.dram);
-    }
+    // Per-core run() snapshots, so coreSnapshot() survives a resume.
+    io.tag(0x5A475000u, "snapshots");
+    io.each("snapshots", snapshots, [&io](RunStats &s) {
+        io.stats("core", s.core);
+        io.stats("l1i", s.l1i);
+        io.stats("l1d", s.l1d);
+        io.stats("l2", s.l2);
+        io.stats("llc", s.llc);
+        io.stats("dtlb", s.dtlb);
+        io.stats("stlb", s.stlb);
+        io.stats("dram", s.dram);
+    });
 }
 
 std::string
-Machine::saveCheckpointBlob() const
+Machine::writeCheckpoint(sim::PathProbe *probe) const
 {
     std::string why;
     if (!checkpointSupported(&why))
         rejectCheckpoint(why);
 
     sim::ByteWriter w;
+    w.attach(probe);
     w.u64(harness::kCheckpointMagic);
     w.u32(harness::kCheckpointVersion);
     w.u64(configFingerprint());
     w.u32(cfg.cores);
-    savePayload(w, clientMap());
+    sim::PtrMap clients = clientMap();
+    sim::StateIO io(w, &clients);
+    // The walk is shared with restore, hence non-const; saving only
+    // reads through it.
+    const_cast<Machine *>(this)->visitPayload(io);
 
     std::string blob = w.take();
     sim::ByteWriter tail;
     tail.u64(sim::fnv1a64(blob));
     blob += tail.data();
     return blob;
+}
+
+std::string
+Machine::saveCheckpointBlob() const
+{
+    return writeCheckpoint(nullptr);
+}
+
+std::string
+Machine::checkpointPathAt(std::size_t offset) const
+{
+    sim::PathProbe probe(offset);
+    std::string blob = writeCheckpoint(&probe);
+    if (offset < harness::kCheckpointHeaderBytes)
+        return "header";
+    if (offset + harness::kCheckpointChecksumBytes >= blob.size())
+        return "checksum";
+    return probe.path().empty() ? "payload" : probe.path();
 }
 
 void
@@ -307,7 +303,9 @@ Machine::resumeFromBlob(const std::string &blob)
     }
 
     sim::PtrMap clients = clientMap();
-    loadPayload(r, clients);
+    sim::StateIO io(r, &clients);
+    visitPayload(io);
+    cyclesSkipped = 0;  // diagnostic; restarts with the new process
     if (!r.atEnd()) {
         rejectCheckpoint(std::to_string(r.remaining()) +
                          " trailing payload bytes after a complete "

@@ -1,9 +1,9 @@
 /**
  * @file
- * Checkpoint file format constants. The serialization itself lives in
- * Machine::saveCheckpointBlob / resumeFromBlob (checkpoint.cc); the
- * layout and versioning rules are documented in ARCHITECTURE.md,
- * "Crash safety & resume".
+ * Checkpoint file format constants. The serialization itself is one
+ * walk, Machine::visitPayload (checkpoint.cc) over each component's
+ * visitState, shared by save and restore; the layout and versioning
+ * rules are documented in ARCHITECTURE.md, "Crash safety & resume".
  *
  * Blob layout (everything little-endian, fixed width):
  *
@@ -20,6 +20,8 @@
  *
  * Versioning rule: ANY change to the payload layout — a new field, a
  * reordered section, a widened counter — bumps kCheckpointVersion.
+ * test_checkpoint's PristineLayoutIsPinned pins pristine blobs' size
+ * and hash, so a layout change cannot land unnoticed.
  * There is deliberately no cross-version migration: checkpoints are
  * short-lived crash-recovery artefacts, not archival data, and a
  * version mismatch throws a typed error telling the caller to re-run.

@@ -239,6 +239,14 @@ class Machine
     void saveCheckpoint(const std::string &path) const;
 
     /**
+     * The state path that byte `offset` of saveCheckpointBlob() holds,
+     * e.g. "core0.l1d.pf.table[3].slots[5]" ("header" and "checksum"
+     * for the framing). Re-runs the save walk with a sim::PathProbe;
+     * checkpoint compares use it to name the first divergent field.
+     */
+    std::string checkpointPathAt(std::size_t offset) const;
+
+    /**
      * Restore a blob into this machine. The machine must be *pristine*
      * (freshly constructed, never run) and built with the same
      * configuration and equivalent trace generators as the saver: the
@@ -328,8 +336,9 @@ class Machine
 
     // Checkpoint internals (harness/checkpoint.cc).
     sim::PtrMap clientMap() const;
-    void savePayload(sim::ByteWriter &w, const sim::PtrMap &clients) const;
-    void loadPayload(sim::ByteReader &r, const sim::PtrMap &clients);
+    std::string writeCheckpoint(sim::PathProbe *probe) const;
+    /** The one walk over the payload, shared by save and restore. */
+    void visitPayload(sim::StateIO &io);
 };
 
 } // namespace berti

@@ -13,8 +13,8 @@
  *     first future cycle at which tick() would do observable work, or
  *     a skip could jump past a pending completion (late bounds are
  *     correctness bugs; early bounds only cost speed);
- *   - checkpoint hooks (saveState / loadState) with a deterministic
- *     byte layout;
+ *   - one checkpoint walk (visitState) with a deterministic byte
+ *     layout, reached through the saveState / loadState bridge;
  *   - metrics registration and an aggregated statistics snapshot;
  *   - the auditor hook: auditViolation() replaces the auditor's
  *     historical friend-access into Dram internals, so new backends
@@ -27,6 +27,7 @@
 #include <string>
 
 #include "mem/cache.hh"
+#include "sim/serialize.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -67,14 +68,36 @@ class MemBackend : public MemLevel
                                  const std::string &prefix) = 0;
 
     /**
-     * Checkpoint hooks. The layout must be deterministic (the same
-     * state always serializes to the same bytes) and self-delimiting;
-     * any layout change bumps harness::kCheckpointVersion.
+     * Checkpoint bridge: the hooks the Machine, and any decorator
+     * between it and the backend, call. Both run visitState over the
+     * stream; decorators override these to forward.
      */
-    virtual void saveState(sim::ByteWriter &w,
-                           const sim::PtrMap &clients) const = 0;
-    virtual void loadState(sim::ByteReader &r,
-                           const sim::PtrMap &clients) = 0;
+    virtual void
+    saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
+    {
+        sim::StateIO io(w, &clients);
+        const_cast<MemBackend *>(this)->visitState(io);
+    }
+
+    virtual void
+    loadState(sim::ByteReader &r, const sim::PtrMap &clients)
+    {
+        sim::StateIO io(r, &clients);
+        visitState(io);
+    }
+
+    /**
+     * The one checkpoint walk (save and load). The layout must be
+     * deterministic (the same state always serializes to the same
+     * bytes) and self-delimiting; any layout change bumps
+     * harness::kCheckpointVersion. The default refuses, typed.
+     */
+    virtual void
+    visitState(sim::StateIO &io)
+    {
+        io.fail("memory backend '" + name() +
+                "' does not support checkpointing");
+    }
 
     /** False blocks Machine checkpointing with a typed reason (test
      *  doubles that carry unserializable state return false). */

@@ -820,156 +820,60 @@ Cache::readDone(const MemRequest &req)
 // Checkpointing. Transient per-call scratch (trainVLine/trainIp, the
 // lastEvicted* pair, wakeScratch) is dead between ticks and deliberately
 // not serialized. Freed MSHR entries keep stale field junk at runtime,
-// so only valid entries are written and the rest are reset to defaults
-// on load — that keeps save -> load -> save byte-identical.
+// so only valid entries are written; a resume target is pristine, so
+// the omitted entries are already default on load — that keeps
+// save -> load -> save byte-identical.
 
 void
-Cache::saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
+Cache::visitState(sim::StateIO &io)
 {
-    if (!pf->checkpointSupported()) {
-        throw verify::SimError(
-            verify::ErrorKind::Checkpoint, cfg.name,
-            "prefetcher '" + pf->name() +
-                "' attached to this level does not support checkpointing");
-    }
+    io.tag(0xCAC4E000u, cfg.name.c_str());
+    io.stats("stats", stats);
 
-    w.tag(0xCAC4E000u);
-    saveStatsFields(w, stats);
+    io.each("lines", lines, [&io](Line &l) {
+        io.u64(l.pLine);
+        io.u64(l.vLine);
+        io.b(l.valid);
+        io.b(l.dirty);
+        io.b(l.prefetched);
+        io.b(l.pfUsed);
+        io.u64(l.pfLatency);
+    });
 
-    for (const Line &l : lines) {
-        w.u64(l.pLine);
-        w.u64(l.vLine);
-        w.b(l.valid);
-        w.b(l.dirty);
-        w.b(l.prefetched);
-        w.b(l.pfUsed);
-        w.u64(l.pfLatency);
-    }
-
-    w.u32(static_cast<std::uint32_t>(mshr.size()));
-    for (const MshrEntry &e : mshr) {
-        w.b(e.valid);
+    io.fixed("mshr", mshr, [&io](MshrEntry &e) {
+        io.b(e.valid);
         if (!e.valid)
-            continue;
-        w.u64(e.pLine);
-        w.u64(e.vLine);
-        w.u64(e.ip);
-        w.b(e.isPrefetch);
-        w.b(e.hadDemand);
-        w.b(e.wantsDirty);
-        w.u8(static_cast<std::uint8_t>(e.fillLevel));
-        w.u64(e.ts);
-        w.b(e.sentBelow);
-        saveRequest(w, clients, e.fwd);
-        w.u32(static_cast<std::uint32_t>(e.waiters.size()));
-        for (const MemRequest &req : e.waiters)
-            saveRequest(w, clients, req);
-    }
-    w.u32(static_cast<std::uint32_t>(mshrFree.size()));
-    for (unsigned idx : mshrFree)
-        w.u32(idx);
-    w.u32(mshrUsed);
-    w.u32(unsentMshrs);
+            return;
+        io.u64(e.pLine);
+        io.u64(e.vLine);
+        io.u64(e.ip);
+        io.b(e.isPrefetch);
+        io.b(e.hadDemand);
+        io.b(e.wantsDirty);
+        io.u8(e.fillLevel);
+        io.u64(e.ts);
+        io.b(e.sentBelow);
+        io.request(e.fwd);
+        io.list("waiters", e.waiters,
+                [&io](MemRequest &req) { io.request(req); });
+    });
+    io.list("mshr_free", mshrFree, [&io](unsigned &idx) { io.u32(idx); });
+    if (mshrFree.size() > mshr.size() ||
+        std::any_of(mshrFree.begin(), mshrFree.end(),
+                    [this](unsigned idx) { return idx >= mshr.size(); }))
+        io.fail("MSHR free-list does not fit the MSHR file of " + cfg.name);
+    io.u32(mshrUsed);
+    io.u32(unsentMshrs);
 
-    w.u32(static_cast<std::uint32_t>(rq.size()));
-    for (const MemRequest &req : rq)
-        saveRequest(w, clients, req);
-    w.u32(static_cast<std::uint32_t>(pq.size()));
-    for (const MemRequest &req : pq)
-        saveRequest(w, clients, req);
-    w.u32(static_cast<std::uint32_t>(wq.size()));
-    for (const Addr &a : wq)
-        w.u64(a);
+    io.list("rq", rq, [&io](MemRequest &req) { io.request(req); });
+    io.list("pq", pq, [&io](MemRequest &req) { io.request(req); });
+    io.list("wq", wq, [&io](Addr &a) { io.u64(a); });
 
-    repl->saveState(w);
-    fillLatencyHist->saveState(w);
-    w.tag(0xCAC4EBF0u);
-    pf->saveState(w);
-    w.tag(0xCAC4E0FFu);
-}
-
-void
-Cache::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
-{
-    if (!pf->checkpointSupported()) {
-        throw verify::SimError(
-            verify::ErrorKind::Checkpoint, cfg.name,
-            "prefetcher '" + pf->name() +
-                "' attached to this level does not support checkpointing");
-    }
-
-    r.expectTag(0xCAC4E000u, cfg.name.c_str());
-    loadStatsFields(r, stats);
-
-    for (Line &l : lines) {
-        l.pLine = r.u64();
-        l.vLine = r.u64();
-        l.valid = r.b();
-        l.dirty = r.b();
-        l.prefetched = r.b();
-        l.pfUsed = r.b();
-        l.pfLatency = r.u64();
-    }
-
-    std::uint32_t nMshr = r.u32();
-    if (nMshr != mshr.size()) {
-        r.fail("MSHR count " + std::to_string(nMshr) +
-               " does not match the configured " +
-               std::to_string(mshr.size()) + " of " + cfg.name);
-    }
-    for (MshrEntry &e : mshr) {
-        bool valid = r.b();
-        if (!valid) {
-            e = MshrEntry{};
-            continue;
-        }
-        e.valid = true;
-        e.pLine = r.u64();
-        e.vLine = r.u64();
-        e.ip = r.u64();
-        e.isPrefetch = r.b();
-        e.hadDemand = r.b();
-        e.wantsDirty = r.b();
-        e.fillLevel = static_cast<FillLevel>(r.u8());
-        e.ts = r.u64();
-        e.sentBelow = r.b();
-        e.fwd = loadRequest(r, clients);
-        std::uint32_t nWaiters = r.u32();
-        e.waiters.clear();
-        for (std::uint32_t i = 0; i < nWaiters; ++i)
-            e.waiters.push_back(loadRequest(r, clients));
-    }
-    std::uint32_t nFree = r.u32();
-    if (nFree > mshr.size())
-        r.fail("MSHR free-list longer than the MSHR file");
-    mshrFree.clear();
-    for (std::uint32_t i = 0; i < nFree; ++i) {
-        std::uint32_t idx = r.u32();
-        if (idx >= mshr.size())
-            r.fail("MSHR free-list index out of range");
-        mshrFree.push_back(idx);
-    }
-    mshrUsed = r.u32();
-    unsentMshrs = r.u32();
-
-    std::uint32_t nRq = r.u32();
-    rq.clear();
-    for (std::uint32_t i = 0; i < nRq; ++i)
-        rq.push_back(loadRequest(r, clients));
-    std::uint32_t nPq = r.u32();
-    pq.clear();
-    for (std::uint32_t i = 0; i < nPq; ++i)
-        pq.push_back(loadRequest(r, clients));
-    std::uint32_t nWq = r.u32();
-    wq.clear();
-    for (std::uint32_t i = 0; i < nWq; ++i)
-        wq.push_back(r.u64());
-
-    repl->loadState(r);
-    fillLatencyHist->loadState(r);
-    r.expectTag(0xCAC4EBF0u, cfg.name.c_str());
-    pf->loadState(r);
-    r.expectTag(0xCAC4E0FFu, cfg.name.c_str());
+    io.section("repl", [&] { repl->visitState(io); });
+    io.section("fill_latency", [&] { fillLatencyHist->visitState(io); });
+    io.tag(0xCAC4EBF0u, cfg.name.c_str());
+    io.section("pf", [&] { io.bridge(*pf); });
+    io.tag(0xCAC4E0FFu, cfg.name.c_str());
 }
 
 } // namespace berti

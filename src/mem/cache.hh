@@ -195,15 +195,13 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     std::vector<MshrView> mshrSnapshot() const;
 
     /**
-     * Checkpoint hooks: full level state — lines, MSHRs, the free-list
+     * Checkpoint walk: full level state — lines, MSHRs, the free-list
      * order, queues, statistics, replacement state, the fill-latency
-     * histogram and the attached prefetcher. Request client pointers
-     * travel through the PtrMap the Machine builds from its topology.
-     * Throws verify::SimError(ErrorKind::Checkpoint) when the attached
-     * prefetcher does not support checkpointing.
+     * histogram and the attached prefetcher (through its saveState /
+     * loadState bridge, which refuses typed when it cannot checkpoint).
+     * Request client pointers travel through the StateIO's PtrMap.
      */
-    void saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const;
-    void loadState(sim::ByteReader &r, const sim::PtrMap &clients);
+    void visitState(sim::StateIO &io);
 
     CacheStats stats;
 

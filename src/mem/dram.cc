@@ -273,72 +273,39 @@ Dram::auditViolation() const
 }
 
 void
-Dram::saveState(sim::ByteWriter &w, const sim::PtrMap &clients) const
+Dram::visitState(sim::StateIO &io)
 {
-    w.tag(0xD7A30000u);
-    saveStatsFields(w, stats);
-    for (const Bank &b : banks) {
-        w.u64(b.openRow);
-        w.u64(b.readyCycle);
-    }
-    w.u32(static_cast<std::uint32_t>(rq.size()));
-    for (const MemRequest &req : rq)
-        saveRequest(w, clients, req);
-    w.u32(static_cast<std::uint32_t>(wq.size()));
-    for (const Addr &a : wq)
-        w.u64(a);
-    w.b(drainingWrites);
-    w.u64(busFreeCycle);
-    w.u64(nextCompletionSeq);
-    w.u64(headBypassed);
+    io.tag(0xD7A30000u, "dram");
+    io.stats("stats", stats);
+    io.each("banks", banks, [&io](Bank &b) {
+        io.u64(b.openRow);
+        io.u64(b.readyCycle);
+    });
+    io.list("rq", rq, [&io](MemRequest &req) { io.request(req); });
+    io.list("wq", wq, [&io](Addr &a) { io.u64(a); });
+    io.b(drainingWrites);
+    io.u64(busFreeCycle);
+    io.u64(nextCompletionSeq);
+    io.u64(headBypassed);
 
-    // Drain a copy of the heap: pops come out in (finish, seq) order,
+    // The heap travels drained: pops come out in (finish, seq) order,
     // which is total, so the serialized layout is deterministic.
-    auto heap = inflight;
-    w.u32(static_cast<std::uint32_t>(heap.size()));
-    while (!heap.empty()) {
-        const Completion &c = heap.top();
-        w.u64(c.finish);
-        w.u64(c.seq);
-        saveRequest(w, clients, c.req);
-        heap.pop();
+    std::vector<Completion> sorted;
+    if (!io.loading()) {
+        for (auto heap = inflight; !heap.empty(); heap.pop())
+            sorted.push_back(heap.top());
     }
-    w.tag(0xD7A300FFu);
-}
-
-void
-Dram::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
-{
-    r.expectTag(0xD7A30000u, "dram");
-    loadStatsFields(r, stats);
-    for (Bank &b : banks) {
-        b.openRow = r.u64();
-        b.readyCycle = r.u64();
+    io.list("inflight", sorted, [&io](Completion &c) {
+        io.u64(c.finish);
+        io.u64(c.seq);
+        io.request(c.req);
+    });
+    if (io.loading()) {
+        inflight = {};
+        for (const Completion &c : sorted)
+            inflight.push(c);
     }
-    std::uint32_t nRq = r.u32();
-    rq.clear();
-    for (std::uint32_t i = 0; i < nRq; ++i)
-        rq.push_back(loadRequest(r, clients));
-    std::uint32_t nWq = r.u32();
-    wq.clear();
-    for (std::uint32_t i = 0; i < nWq; ++i)
-        wq.push_back(r.u64());
-    drainingWrites = r.b();
-    busFreeCycle = r.u64();
-    nextCompletionSeq = r.u64();
-    headBypassed = r.u64();
-
-    while (!inflight.empty())
-        inflight.pop();
-    std::uint32_t nInflight = r.u32();
-    for (std::uint32_t i = 0; i < nInflight; ++i) {
-        Completion c;
-        c.finish = r.u64();
-        c.seq = r.u64();
-        c.req = loadRequest(r, clients);
-        inflight.push(c);
-    }
-    r.expectTag(0xD7A300FFu, "dram");
+    io.tag(0xD7A300FFu, "dram");
 }
 
 void

@@ -148,15 +148,12 @@ class Dram : public mem::MemBackend
     std::string name() const override { return "dram"; }
 
     /**
-     * Checkpoint hooks: banks, queues, the write-drain hysteresis flag,
+     * Checkpoint walk: banks, queues, the write-drain hysteresis flag,
      * bus state, the starvation-cap bypass counter and the in-flight
      * completion heap (drained in ascending order so the blob is
      * deterministic).
      */
-    void saveState(sim::ByteWriter &w,
-                   const sim::PtrMap &clients) const override;
-    void loadState(sim::ByteReader &r,
-                   const sim::PtrMap &clients) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     struct Bank

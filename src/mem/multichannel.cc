@@ -123,31 +123,12 @@ MultiChannelDram::registerMetrics(obs::MetricsRegistry &registry,
 }
 
 void
-MultiChannelDram::saveState(sim::ByteWriter &w,
-                            const sim::PtrMap &clients) const
+MultiChannelDram::visitState(sim::StateIO &io)
 {
-    w.tag(0xD7A3C000u);
-    w.u32(static_cast<std::uint32_t>(channels.size()));
-    for (const auto &ch : channels)
-        ch->saveState(w, clients);
-    w.tag(0xD7A3C0FFu);
-}
-
-void
-MultiChannelDram::loadState(sim::ByteReader &r, const sim::PtrMap &clients)
-{
-    r.expectTag(0xD7A3C000u, "multichannel dram");
-    std::uint32_t n = r.u32();
-    if (n != channels.size()) {
-        throw verify::SimError(
-            verify::ErrorKind::Checkpoint, "MultiChannelDram",
-            "checkpoint has " + std::to_string(n) +
-                " channels, machine has " +
-                std::to_string(channels.size()));
-    }
-    for (auto &ch : channels)
-        ch->loadState(r, clients);
-    r.expectTag(0xD7A3C0FFu, "multichannel dram");
+    io.tag(0xD7A3C000u, "multichannel dram");
+    io.fixed("channels", channels,
+             [&io](std::unique_ptr<Dram> &ch) { ch->visitState(io); });
+    io.tag(0xD7A3C0FFu, "multichannel dram");
 }
 
 std::string

@@ -49,10 +49,7 @@ class MultiChannelDram : public MemBackend
     void registerMetrics(obs::MetricsRegistry &registry,
                          const std::string &prefix) override;
 
-    void saveState(sim::ByteWriter &w,
-                   const sim::PtrMap &clients) const override;
-    void loadState(sim::ByteReader &r,
-                   const sim::PtrMap &clients) override;
+    void visitState(sim::StateIO &io) override;
 
     std::string auditViolation() const override;
     std::string name() const override;

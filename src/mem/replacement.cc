@@ -3,37 +3,6 @@
 namespace berti
 {
 
-namespace
-{
-
-// Checkpoint helpers: length-prefixed stamp/rrpv arrays, with the count
-// cross-checked against the live geometry so a checkpoint taken on a
-// differently shaped cache fails typed instead of corrupting state.
-template <typename T>
-void
-saveArray(sim::ByteWriter &w, const std::vector<T> &v)
-{
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const T &x : v)
-        w.u64(static_cast<std::uint64_t>(x));
-}
-
-template <typename T>
-void
-loadArray(sim::ByteReader &r, std::vector<T> &v, const char *what)
-{
-    std::uint32_t n = r.u32();
-    if (n != v.size()) {
-        r.fail(std::string(what) + " size " + std::to_string(n) +
-               " does not match the live policy's " +
-               std::to_string(v.size()));
-    }
-    for (T &x : v)
-        x = static_cast<T>(r.u64());
-}
-
-} // namespace
-
 std::unique_ptr<ReplPolicy>
 makeReplPolicy(ReplKind kind, unsigned sets, unsigned ways)
 {
@@ -87,17 +56,10 @@ LruPolicy::onFill(unsigned set, unsigned way, bool)
 }
 
 void
-LruPolicy::saveState(sim::ByteWriter &w) const
+LruPolicy::visitState(sim::StateIO &io)
 {
-    w.u64(tick);
-    saveArray(w, stamp);
-}
-
-void
-LruPolicy::loadState(sim::ByteReader &r)
-{
-    tick = r.u64();
-    loadArray(r, stamp, "lru stamp array");
+    io.u64(tick);
+    io.fixed("stamp", stamp, [&io](std::uint64_t &x) { io.u64(x); });
 }
 
 // ----------------------------------------------------------------- FIFO
@@ -131,17 +93,10 @@ FifoPolicy::onFill(unsigned set, unsigned way, bool)
 }
 
 void
-FifoPolicy::saveState(sim::ByteWriter &w) const
+FifoPolicy::visitState(sim::StateIO &io)
 {
-    w.u64(tick);
-    saveArray(w, stamp);
-}
-
-void
-FifoPolicy::loadState(sim::ByteReader &r)
-{
-    tick = r.u64();
-    loadArray(r, stamp, "fifo stamp array");
+    io.u64(tick);
+    io.fixed("stamp", stamp, [&io](std::uint64_t &x) { io.u64(x); });
 }
 
 // ---------------------------------------------------------------- SRRIP
@@ -178,15 +133,9 @@ SrripPolicy::onFill(unsigned set, unsigned way, bool)
 }
 
 void
-SrripPolicy::saveState(sim::ByteWriter &w) const
+SrripPolicy::visitState(sim::StateIO &io)
 {
-    saveArray(w, rrpv);
-}
-
-void
-SrripPolicy::loadState(sim::ByteReader &r)
-{
-    loadArray(r, rrpv, "srrip rrpv array");
+    io.fixed("rrpv", rrpv, [&io](std::uint8_t &x) { io.u64(x); });
 }
 
 // ---------------------------------------------------------------- DRRIP
@@ -242,19 +191,11 @@ DrripPolicy::onFill(unsigned set, unsigned way, bool prefetch)
 }
 
 void
-DrripPolicy::saveState(sim::ByteWriter &w) const
+DrripPolicy::visitState(sim::StateIO &io)
 {
-    SrripPolicy::saveState(w);
-    w.i64(psel);
-    w.u32(bipCounter);
-}
-
-void
-DrripPolicy::loadState(sim::ByteReader &r)
-{
-    SrripPolicy::loadState(r);
-    psel = static_cast<int>(r.i64());
-    bipCounter = r.u32();
+    SrripPolicy::visitState(io);
+    io.i64(psel);
+    io.u32(bipCounter);
 }
 
 } // namespace berti

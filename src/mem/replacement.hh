@@ -46,10 +46,9 @@ class ReplPolicy
 
     virtual std::string name() const = 0;
 
-    /** Checkpoint hooks: serialize the full replacement state. The
-     *  restoring policy must have identical geometry (same cache). */
-    virtual void saveState(sim::ByteWriter &w) const = 0;
-    virtual void loadState(sim::ByteReader &r) = 0;
+    /** Checkpoint walk over the full replacement state. The restoring
+     *  policy must have identical geometry (same cache). */
+    virtual void visitState(sim::StateIO &io) = 0;
 };
 
 /** Factory. */
@@ -65,8 +64,7 @@ class LruPolicy : public ReplPolicy
     void onHit(unsigned set, unsigned way) override;
     void onFill(unsigned set, unsigned way, bool prefetch) override;
     std::string name() const override { return "lru"; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     void touch(unsigned set, unsigned way);
@@ -85,8 +83,7 @@ class FifoPolicy : public ReplPolicy
     void onHit(unsigned set, unsigned way) override;
     void onFill(unsigned set, unsigned way, bool prefetch) override;
     std::string name() const override { return "fifo"; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     unsigned ways;
@@ -103,8 +100,7 @@ class SrripPolicy : public ReplPolicy
     void onHit(unsigned set, unsigned way) override;
     void onFill(unsigned set, unsigned way, bool prefetch) override;
     std::string name() const override { return "srrip"; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   protected:
     static constexpr std::uint8_t kMaxRrpv = 3;
@@ -123,8 +119,7 @@ class DrripPolicy : public SrripPolicy
     DrripPolicy(unsigned sets, unsigned ways);
     void onFill(unsigned set, unsigned way, bool prefetch) override;
     std::string name() const override { return "drrip"; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     enum class SetRole : std::uint8_t { SrripLeader, BrripLeader, Follower };

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "sim/serialize.hh"
 #include "sim/types.hh"
 
 namespace berti
@@ -47,42 +46,6 @@ class ReadClient
     /** The read for req has completed at the level below. */
     virtual void readDone(const MemRequest &req) = 0;
 };
-
-/**
- * Checkpoint codec for in-flight requests. The client pointer is
- * serialized as its id in a PtrMap built from the machine topology
- * (ReadClient subobject pointers; id 0 = null).
- */
-inline void
-saveRequest(sim::ByteWriter &w, const sim::PtrMap &clients,
-            const MemRequest &req)
-{
-    w.u64(req.vLine);
-    w.u64(req.pLine);
-    w.u64(req.ip);
-    w.u8(static_cast<std::uint8_t>(req.type));
-    w.u8(static_cast<std::uint8_t>(req.fillLevel));
-    w.u32(req.coreId);
-    w.u64(req.instrId);
-    w.u64(req.enqueueCycle);
-    w.u32(clients.idOf(static_cast<const void *>(req.client)));
-}
-
-inline MemRequest
-loadRequest(sim::ByteReader &r, const sim::PtrMap &clients)
-{
-    MemRequest req;
-    req.vLine = r.u64();
-    req.pLine = r.u64();
-    req.ip = r.u64();
-    req.type = static_cast<AccessType>(r.u8());
-    req.fillLevel = static_cast<FillLevel>(r.u8());
-    req.coreId = r.u32();
-    req.instrId = r.u64();
-    req.enqueueCycle = r.u64();
-    req.client = static_cast<ReadClient *>(clients.at(r.u32()));
-    return req;
-}
 
 } // namespace berti
 

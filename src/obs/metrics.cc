@@ -106,32 +106,13 @@ Histogram::reset()
 }
 
 void
-Histogram::saveState(sim::ByteWriter &w) const
+Histogram::visitState(sim::StateIO &io)
 {
-    w.u32(static_cast<std::uint32_t>(buckets.size()));
-    for (std::uint64_t b : buckets)
-        w.u64(b);
-    w.u64(total);
-    w.u64(valueSum);
-    w.u64(lo);
-    w.u64(hi);
-}
-
-void
-Histogram::loadState(sim::ByteReader &r)
-{
-    std::uint32_t n = r.u32();
-    if (n != buckets.size()) {
-        r.fail("histogram bucket count " + std::to_string(n) +
-               " does not match the live histogram's " +
-               std::to_string(buckets.size()));
-    }
-    for (std::uint64_t &b : buckets)
-        b = r.u64();
-    total = r.u64();
-    valueSum = r.u64();
-    lo = r.u64();
-    hi = r.u64();
+    io.fixed("buckets", buckets, [&io](std::uint64_t &b) { io.u64(b); });
+    io.u64(total);
+    io.u64(valueSum);
+    io.u64(lo);
+    io.u64(hi);
 }
 
 std::uint64_t

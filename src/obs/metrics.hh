@@ -26,8 +26,7 @@
 
 namespace berti::sim
 {
-class ByteWriter;
-class ByteReader;
+class StateIO;
 } // namespace berti::sim
 
 namespace berti::obs
@@ -114,11 +113,10 @@ class Histogram
                buckets.size() == other.buckets.size();
     }
 
-    /** Checkpoint hooks: contents only — the shape is construction
+    /** Checkpoint walk: contents only — the shape is construction
      *  state and is cross-checked, not restored. A bucket-count
      *  mismatch throws verify::SimError(ErrorKind::Checkpoint). */
-    void saveState(sim::ByteWriter &w) const;
-    void loadState(sim::ByteReader &r);
+    void visitState(sim::StateIO &io);
 
   private:
     Histogram(Scale s, std::uint64_t w, unsigned n);

@@ -154,42 +154,19 @@ CmcPrefetcher::debugState() const
 }
 
 void
-CmcPrefetcher::saveState(sim::ByteWriter &w) const
+CmcPrefetcher::visitState(sim::StateIO &io)
 {
-    w.u64(stamp);
-    w.u64(lastMiss);
-    w.u32(static_cast<std::uint32_t>(table.size()));
-    for (const Entry &e : table) {
-        w.b(e.valid);
-        w.u64(e.trigger);
-        w.u64(e.lruStamp);
-        for (const Successor &s : e.next) {
-            w.u64(s.line);
-            w.u32(s.conf);
-        }
-    }
-}
-
-void
-CmcPrefetcher::loadState(sim::ByteReader &r)
-{
-    stamp = r.u64();
-    lastMiss = r.u64();
-    std::uint32_t n = r.u32();
-    if (n != table.size()) {
-        r.fail("cmc table size " + std::to_string(n) +
-               " does not match the live table's " +
-               std::to_string(table.size()));
-    }
-    for (Entry &e : table) {
-        e.valid = r.b();
-        e.trigger = r.u64();
-        e.lruStamp = r.u64();
-        for (Successor &s : e.next) {
-            s.line = r.u64();
-            s.conf = r.u32();
-        }
-    }
+    io.u64(stamp);
+    io.u64(lastMiss);
+    io.fixed("table", table, [&io](Entry &e) {
+        io.b(e.valid);
+        io.u64(e.trigger);
+        io.u64(e.lruStamp);
+        io.each("next", e.next, [&io](Successor &s) {
+            io.u64(s.line);
+            io.u32(s.conf);
+        });
+    });
 }
 
 } // namespace berti

@@ -45,8 +45,7 @@ class CmcPrefetcher : public Prefetcher
     std::string debugState() const override;
 
     bool checkpointSupported() const override { return true; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     struct Successor

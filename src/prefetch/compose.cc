@@ -676,20 +676,9 @@ HybridPrefetcher::registerMetrics(obs::MetricsRegistry &registry,
                                   const std::string &prefix)
 {
     Prefetcher::registerMetrics(registry, prefix);
-    registry.counter(prefix + "hybrid.proposals", &stats.proposals);
-    registry.counter(prefix + "hybrid.forwarded", &stats.forwarded);
-    registry.counter(prefix + "hybrid.suppressed", &stats.suppressed);
-    registry.counter(prefix + "hybrid.deduplicated",
-                     &stats.deduplicated);
-    registry.counter(prefix + "hybrid.budget_dropped",
-                     &stats.budgetDropped);
-    registry.counter(prefix + "hybrid.useful_feedback",
-                     &stats.usefulFeedback);
-    registry.counter(prefix + "hybrid.useless_feedback",
-                     &stats.uselessFeedback);
-    registry.counter(prefix + "hybrid.late_feedback",
-                     &stats.lateFeedback);
-    registry.counter(prefix + "hybrid.shadow_hits", &stats.shadowHits);
+    forEachStatField(stats, [&](const char *name, std::uint64_t &cell) {
+        registry.counter(prefix + "hybrid." + name, &cell);
+    });
     if (cfg.select == HybridSelect::Duel) {
         registry.gauge(prefix + "hybrid.psel",
                        [this] { return static_cast<double>(psel); });
@@ -715,105 +704,61 @@ namespace
 
 constexpr std::uint32_t kHybridTag = 0x48594252;  // "HYBR"
 
+using Stats = HybridPrefetcher::Stats;
+constexpr StatField<Stats> kHybridFields[] = {
+    {"proposals", &Stats::proposals},
+    {"forwarded", &Stats::forwarded},
+    {"suppressed", &Stats::suppressed},
+    {"deduplicated", &Stats::deduplicated},
+    {"budget_dropped", &Stats::budgetDropped},
+    {"useful_feedback", &Stats::usefulFeedback},
+    {"useless_feedback", &Stats::uselessFeedback},
+    {"late_feedback", &Stats::lateFeedback},
+    {"shadow_hits", &Stats::shadowHits},
+};
+
 } // namespace
 
-void
-HybridPrefetcher::saveState(sim::ByteWriter &w) const
+std::span<const StatField<HybridPrefetcher::Stats>>
+HybridPrefetcher::Stats::fields()
 {
-    w.tag(kHybridTag);
-    w.u32(psel);
-
-    w.u64(stats.proposals);
-    w.u64(stats.forwarded);
-    w.u64(stats.suppressed);
-    w.u64(stats.deduplicated);
-    w.u64(stats.budgetDropped);
-    w.u64(stats.usefulFeedback);
-    w.u64(stats.uselessFeedback);
-    w.u64(stats.lateFeedback);
-    w.u64(stats.shadowHits);
-
-    auto save_issue = [&w](const std::vector<IssueEntry> &table) {
-        w.u32(static_cast<std::uint32_t>(table.size()));
-        for (const IssueEntry &e : table) {
-            w.b(e.valid);
-            w.u64(e.line);
-            w.u64(e.ip);
-            w.u8(e.child);
-            w.u8(e.role);
-        }
-    };
-    save_issue(issued);
-    save_issue(issuedPhys);
-    save_issue(shadow);
-
-    w.u32(static_cast<std::uint32_t>(credits.size()));
-    for (const CreditRow &row : credits) {
-        w.b(row.valid);
-        w.u64(row.ip);
-        for (std::size_t c = 0; c < kMaxHybridChildren; ++c)
-            w.u8(row.credit[c]);
-    }
-
-    for (std::size_t c = 0; c < children.size(); ++c) {
-        w.tag(kHybridTag + 1 + static_cast<std::uint32_t>(c));
-        children[c]->saveState(w);
-    }
+    return kHybridFields;
 }
 
 void
-HybridPrefetcher::loadState(sim::ByteReader &r)
+HybridPrefetcher::visitState(sim::StateIO &io)
 {
-    r.expectTag(kHybridTag, "hybrid selector state");
-    psel = r.u32();
+    io.tag(kHybridTag, "hybrid selector state");
+    io.u32(psel);
+    io.stats("stats", stats);
 
-    stats.proposals = r.u64();
-    stats.forwarded = r.u64();
-    stats.suppressed = r.u64();
-    stats.deduplicated = r.u64();
-    stats.budgetDropped = r.u64();
-    stats.usefulFeedback = r.u64();
-    stats.uselessFeedback = r.u64();
-    stats.lateFeedback = r.u64();
-    stats.shadowHits = r.u64();
-
-    auto load_issue = [&r](std::vector<IssueEntry> &table,
-                           const char *what) {
-        std::uint32_t n = r.u32();
-        if (n != table.size()) {
-            r.fail(std::string("hybrid ") + what + " table size " +
-                   std::to_string(n) + " does not match the live " +
-                   std::to_string(table.size()));
-        }
-        for (IssueEntry &e : table) {
-            e.valid = r.b();
-            e.line = r.u64();
-            e.ip = r.u64();
-            e.child = r.u8();
-            e.role = r.u8();
-        }
+    auto issue_table = [&io](const char *name,
+                             std::vector<IssueEntry> &table) {
+        io.fixed(name, table, [&io](IssueEntry &e) {
+            io.b(e.valid);
+            io.u64(e.line);
+            io.u64(e.ip);
+            io.u8(e.child);
+            io.u8(e.role);
+        });
     };
-    load_issue(issued, "issue-attribution");
-    load_issue(issuedPhys, "physical-attribution");
-    load_issue(shadow, "shadow");
+    issue_table("issued", issued);
+    issue_table("issued_phys", issuedPhys);
+    issue_table("shadow", shadow);
 
-    std::uint32_t nc = r.u32();
-    if (nc != credits.size()) {
-        r.fail("hybrid credit table size " + std::to_string(nc) +
-               " does not match the live " +
-               std::to_string(credits.size()));
-    }
-    for (CreditRow &row : credits) {
-        row.valid = r.b();
-        row.ip = r.u64();
-        for (std::size_t c = 0; c < kMaxHybridChildren; ++c)
-            row.credit[c] = r.u8();
-    }
+    io.fixed("credits", credits, [&io](CreditRow &row) {
+        io.b(row.valid);
+        io.u64(row.ip);
+        io.each("credit", row.credit,
+                [&io](std::uint8_t &credit) { io.u8(credit); });
+    });
 
     for (std::size_t c = 0; c < children.size(); ++c) {
-        r.expectTag(kHybridTag + 1 + static_cast<std::uint32_t>(c),
-                    "hybrid child state");
-        children[c]->loadState(r);
+        io.section("child", c, [&] {
+            io.tag(kHybridTag + 1 + static_cast<std::uint32_t>(c),
+                   "hybrid child state");
+            io.bridge(*children[c]);
+        });
     }
 }
 

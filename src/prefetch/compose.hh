@@ -48,6 +48,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/stats.hh"
+
 #include "prefetch/prefetcher.hh"
 #include "prefetch/registry.hh"
 
@@ -128,6 +130,9 @@ class HybridPrefetcher : public Prefetcher
         std::uint64_t uselessFeedback = 0;
         std::uint64_t lateFeedback = 0;
         std::uint64_t shadowHits = 0;     //!< suppressed-child credit
+
+        /** Field table, in checkpoint order. */
+        static std::span<const StatField<Stats>> fields();
     };
 
     HybridPrefetcher(std::string canonical_name, const HybridConfig &cfg,
@@ -144,8 +149,7 @@ class HybridPrefetcher : public Prefetcher
                          const std::string &prefix) override;
 
     bool checkpointSupported() const override;
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
     // ------------------------------------------------- introspection
     const HybridConfig &config() const { return cfg; }

@@ -77,38 +77,17 @@ IpStridePrefetcher::storageBits() const
 }
 
 void
-IpStridePrefetcher::saveState(sim::ByteWriter &w) const
+IpStridePrefetcher::visitState(sim::StateIO &io)
 {
-    w.u64(tick);
-    w.u32(static_cast<std::uint32_t>(table.size()));
-    for (const Entry &e : table) {
-        w.b(e.valid);
-        w.u64(e.ip);
-        w.u64(e.lastLine);
-        w.i64(e.stride);
-        w.u32(e.conf);
-        w.u64(e.lruStamp);
-    }
-}
-
-void
-IpStridePrefetcher::loadState(sim::ByteReader &r)
-{
-    tick = r.u64();
-    std::uint32_t n = r.u32();
-    if (n != table.size()) {
-        r.fail("ip-stride table size " + std::to_string(n) +
-               " does not match the live table's " +
-               std::to_string(table.size()));
-    }
-    for (Entry &e : table) {
-        e.valid = r.b();
-        e.ip = r.u64();
-        e.lastLine = r.u64();
-        e.stride = static_cast<int>(r.i64());
-        e.conf = r.u32();
-        e.lruStamp = r.u64();
-    }
+    io.u64(tick);
+    io.fixed("table", table, [&io](Entry &e) {
+        io.b(e.valid);
+        io.u64(e.ip);
+        io.u64(e.lastLine);
+        io.i64(e.stride);
+        io.u32(e.conf);
+        io.u64(e.lruStamp);
+    });
 }
 
 } // namespace berti

@@ -37,8 +37,7 @@ class IpStridePrefetcher : public Prefetcher
     std::string name() const override { return "ip-stride"; }
 
     bool checkpointSupported() const override { return true; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     struct Entry

@@ -166,47 +166,18 @@ MarkovPrefetcher::debugState() const
 }
 
 void
-MarkovPrefetcher::saveState(sim::ByteWriter &w) const
+MarkovPrefetcher::visitState(sim::StateIO &io)
 {
-    w.u32(static_cast<std::uint32_t>(pages.size()));
-    for (const PageEntry &e : pages) {
-        w.b(e.valid);
-        w.u64(e.page);
-        w.u32(e.lastOffset);
-        w.i64(e.lastDelta);
-    }
-    w.u32(static_cast<std::uint32_t>(rows.size()));
-    for (const Transition &t : rows) {
-        w.i64(t.delta);
-        w.u32(t.count);
-    }
-}
-
-void
-MarkovPrefetcher::loadState(sim::ByteReader &r)
-{
-    std::uint32_t np = r.u32();
-    if (np != pages.size()) {
-        r.fail("markov page table size " + std::to_string(np) +
-               " does not match the live table's " +
-               std::to_string(pages.size()));
-    }
-    for (PageEntry &e : pages) {
-        e.valid = r.b();
-        e.page = r.u64();
-        e.lastOffset = r.u32();
-        e.lastDelta = static_cast<int>(r.i64());
-    }
-    std::uint32_t nr = r.u32();
-    if (nr != rows.size()) {
-        r.fail("markov transition table size " + std::to_string(nr) +
-               " does not match the live table's " +
-               std::to_string(rows.size()));
-    }
-    for (Transition &t : rows) {
-        t.delta = static_cast<int>(r.i64());
-        t.count = r.u32();
-    }
+    io.fixed("pages", pages, [&io](PageEntry &e) {
+        io.b(e.valid);
+        io.u64(e.page);
+        io.u32(e.lastOffset);
+        io.i64(e.lastDelta);
+    });
+    io.fixed("rows", rows, [&io](Transition &t) {
+        io.i64(t.delta);
+        io.u32(t.count);
+    });
 }
 
 } // namespace berti

@@ -48,8 +48,7 @@ class MarkovPrefetcher : public Prefetcher
     std::string debugState() const override;
 
     bool checkpointSupported() const override { return true; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     /** Deltas live in (-kLinesPerPage, kLinesPerPage) \ {0}; rows are

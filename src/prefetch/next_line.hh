@@ -32,8 +32,7 @@ class NextLinePrefetcher : public Prefetcher
 
     // Stateless (degree is configuration): checkpointable as a no-op.
     bool checkpointSupported() const override { return true; }
-    void saveState(sim::ByteWriter &) const override {}
-    void loadState(sim::ByteReader &) override {}
+    void visitState(sim::StateIO &) override {}
 
   private:
     unsigned degree;

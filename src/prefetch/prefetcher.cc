@@ -22,13 +22,21 @@ rejectCheckpoint(const std::string &name)
 } // namespace
 
 void
-Prefetcher::saveState(sim::ByteWriter &) const
+Prefetcher::saveState(sim::ByteWriter &w) const
 {
-    rejectCheckpoint(name());
+    sim::StateIO io(w);
+    const_cast<Prefetcher *>(this)->visitState(io);
 }
 
 void
-Prefetcher::loadState(sim::ByteReader &)
+Prefetcher::loadState(sim::ByteReader &r)
+{
+    sim::StateIO io(r);
+    visitState(io);
+}
+
+void
+Prefetcher::visitState(sim::StateIO &)
 {
     rejectCheckpoint(name());
 }

@@ -22,6 +22,7 @@ namespace sim
 {
 class ByteWriter;
 class ByteReader;
+class StateIO;
 } // namespace sim
 
 namespace obs
@@ -133,17 +134,27 @@ class Prefetcher
     virtual std::string debugState() const { return {}; }
 
     /**
-     * Whether this prefetcher implements the checkpoint hooks below.
-     * Defaults to false: Machine::saveCheckpoint refuses (typed,
+     * Whether this prefetcher implements visitState below. Defaults to
+     * false: Machine::saveCheckpoint refuses (typed,
      * ErrorKind::Checkpoint) rather than silently dropping learned
-     * state. Stateless designs return true with no-op hooks.
+     * state. Stateless designs return true with an empty walk.
      */
     virtual bool checkpointSupported() const { return false; }
 
-    /** Serialize internal state. Only called when checkpointSupported();
-     *  the base implementation throws the typed refusal. */
+    /**
+     * Checkpoint bridge: what a host cache, a hybrid parent or a
+     * decorator calls. Both run visitState over the stream, so a
+     * decorator overrides these to forward to the prefetcher it wraps.
+     */
     virtual void saveState(sim::ByteWriter &w) const;
     virtual void loadState(sim::ByteReader &r);
+
+    /**
+     * The one checkpoint walk over internal state (save and load; see
+     * sim::StateIO). Only reached when checkpointSupported(); the base
+     * implementation throws the typed refusal.
+     */
+    virtual void visitState(sim::StateIO &io);
 
   protected:
     PrefetchPort *port = nullptr;
@@ -160,10 +171,9 @@ class NoPrefetcher : public Prefetcher
     std::uint64_t storageBits() const override { return 0; }
     std::string name() const override { return "none"; }
 
-    // Stateless: checkpointable with empty hooks.
+    // Stateless: checkpointable with an empty walk.
     bool checkpointSupported() const override { return true; }
-    void saveState(sim::ByteWriter &) const override {}
-    void loadState(sim::ByteReader &) override {}
+    void visitState(sim::StateIO &) override {}
 };
 
 } // namespace berti

@@ -83,38 +83,17 @@ StreamPrefetcher::storageBits() const
 }
 
 void
-StreamPrefetcher::saveState(sim::ByteWriter &w) const
+StreamPrefetcher::visitState(sim::StateIO &io)
 {
-    w.u64(tick);
-    w.u32(static_cast<std::uint32_t>(table.size()));
-    for (const Stream &s : table) {
-        w.b(s.valid);
-        w.b(s.armed);
-        w.b(s.up);
-        w.u64(s.last);
-        w.u32(s.confidence);
-        w.u64(s.lruStamp);
-    }
-}
-
-void
-StreamPrefetcher::loadState(sim::ByteReader &r)
-{
-    tick = r.u64();
-    std::uint32_t n = r.u32();
-    if (n != table.size()) {
-        r.fail("stream table size " + std::to_string(n) +
-               " does not match the live table's " +
-               std::to_string(table.size()));
-    }
-    for (Stream &s : table) {
-        s.valid = r.b();
-        s.armed = r.b();
-        s.up = r.b();
-        s.last = r.u64();
-        s.confidence = r.u32();
-        s.lruStamp = r.u64();
-    }
+    io.u64(tick);
+    io.fixed("table", table, [&io](Stream &s) {
+        io.b(s.valid);
+        io.b(s.armed);
+        io.b(s.up);
+        io.u64(s.last);
+        io.u32(s.confidence);
+        io.u64(s.lruStamp);
+    });
 }
 
 } // namespace berti

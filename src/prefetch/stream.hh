@@ -36,8 +36,7 @@ class StreamPrefetcher : public Prefetcher
     std::string name() const override { return "stream"; }
 
     bool checkpointSupported() const override { return true; }
-    void saveState(sim::ByteWriter &w) const override;
-    void loadState(sim::ByteReader &r) override;
+    void visitState(sim::StateIO &io) override;
 
   private:
     struct Stream

@@ -31,6 +31,8 @@ template <typename T>
 class RingQueue
 {
   public:
+    using value_type = T;
+
     RingQueue() = default;
     explicit RingQueue(std::size_t capacity) { reserve(capacity); }
 

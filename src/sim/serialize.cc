@@ -1,5 +1,6 @@
 #include "sim/serialize.hh"
 
+#include "mem/request.hh"
 #include "verify/sim_error.hh"
 
 namespace berti::sim
@@ -28,8 +29,70 @@ ByteReader::expectTag(std::uint32_t t, const char *what)
 void
 ByteReader::fail(const std::string &reason) const
 {
-    throw verify::SimError(verify::ErrorKind::Checkpoint, comp, reason,
-                           origin, pos);
+    throw verify::SimError(verify::ErrorKind::Checkpoint, comp, reason, {},
+                           pos);
+}
+
+void
+PathProbe::enter(const char *name, std::size_t index, std::size_t at)
+{
+    std::string segment = name ? name : "[";
+    segment += std::to_string(index);
+    if (!name)
+        segment += ']';
+    open.emplace_back(std::move(segment), at);
+}
+
+void
+PathProbe::leave(std::size_t at)
+{
+    // Inner sections close before the sections around them, so the
+    // first one to close around the target is the innermost.
+    if (found.empty() && open.back().second <= target && target < at) {
+        for (const auto &[segment, begin] : open) {
+            if (!found.empty() && segment.front() != '[')
+                found += '.';
+            found += segment;
+        }
+    }
+    open.pop_back();
+}
+
+void
+StateIO::request(MemRequest &req)
+{
+    u64(req.vLine);
+    u64(req.pLine);
+    u64(req.ip);
+    u8(req.type);
+    u8(req.fillLevel);
+    u32(req.coreId);
+    u64(req.instrId);
+    u64(req.enqueueCycle);
+    std::uint32_t id = rd ? 0 : ptrs->idOf(req.client);
+    u32(id);
+    if (rd)
+        req.client = static_cast<ReadClient *>(ptrs->at(id));
+}
+
+void
+StateIO::count(const char *name, std::size_t live)
+{
+    auto n = static_cast<std::uint32_t>(live);
+    u32(n);
+    if (n != live) {
+        fail(std::string(name) + " size " + std::to_string(n) +
+             " does not match the live " + std::to_string(live));
+    }
+}
+
+void
+StateIO::fail(const std::string &reason) const
+{
+    if (rd)
+        rd->fail(reason);
+    throw verify::SimError(verify::ErrorKind::Checkpoint, "checkpoint",
+                           reason);
 }
 
 std::uint32_t

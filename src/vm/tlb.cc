@@ -107,46 +107,21 @@ TranslationUnit::registerMetrics(obs::MetricsRegistry &registry,
 }
 
 void
-Tlb::saveState(sim::ByteWriter &w) const
+Tlb::visitState(sim::StateIO &io)
 {
-    w.u64(tick);
-    w.u32(static_cast<std::uint32_t>(entries.size()));
-    for (const Entry &e : entries) {
-        w.u64(e.vpage);
-        w.u64(e.stamp);
-    }
-    sim::saveStatsFields(w, stats);
+    io.u64(tick);
+    io.fixed("entries", entries, [&io](Entry &e) {
+        io.u64(e.vpage);
+        io.u64(e.stamp);
+    });
+    io.stats("stats", stats);
 }
 
 void
-Tlb::loadState(sim::ByteReader &r)
+TranslationUnit::visitState(sim::StateIO &io)
 {
-    tick = r.u64();
-    std::uint32_t n = r.u32();
-    if (n != entries.size()) {
-        r.fail("TLB entry count " + std::to_string(n) +
-               " does not match the live TLB's " +
-               std::to_string(entries.size()));
-    }
-    for (Entry &e : entries) {
-        e.vpage = r.u64();
-        e.stamp = r.u64();
-    }
-    sim::loadStatsFields(r, stats);
-}
-
-void
-TranslationUnit::saveState(sim::ByteWriter &w) const
-{
-    l1.saveState(w);
-    l2.saveState(w);
-}
-
-void
-TranslationUnit::loadState(sim::ByteReader &r)
-{
-    l1.loadState(r);
-    l2.loadState(r);
+    io.section("dtlb", [&] { l1.visitState(io); });
+    io.section("stlb", [&] { l2.visitState(io); });
 }
 
 } // namespace berti

@@ -21,8 +21,7 @@ namespace berti
 
 namespace sim
 {
-class ByteWriter;
-class ByteReader;
+class StateIO;
 } // namespace sim
 
 namespace obs
@@ -55,9 +54,8 @@ class Tlb
     void registerMetrics(obs::MetricsRegistry &registry,
                          const std::string &prefix);
 
-    /** Checkpoint hooks: LRU tick, entry array and counters. */
-    void saveState(sim::ByteWriter &w) const;
-    void loadState(sim::ByteReader &r);
+    /** Checkpoint walk: LRU tick, entry array and counters. */
+    void visitState(sim::StateIO &io);
 
     TlbStats stats;
 
@@ -127,10 +125,9 @@ class TranslationUnit
                          const std::string &dtlb_prefix,
                          const std::string &stlb_prefix);
 
-    /** Checkpoint hooks: both TLB levels. The page table is stateless
+    /** Checkpoint walk: both TLB levels. The page table is stateless
      *  (keyed permutation derived from the construction seed). */
-    void saveState(sim::ByteWriter &w) const;
-    void loadState(sim::ByteReader &r);
+    void visitState(sim::StateIO &io);
 
   private:
     Tlb l1;

@@ -8,8 +8,10 @@
  * for truncated, corrupted, version-skewed and mis-wired blobs.
  */
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -17,12 +19,16 @@
 
 #include "harness/checkpoint.hh"
 #include "harness/experiment.hh"
+#include "mem/backend_registry.hh"
 #include "obs/export.hh"
 #include "oracle/microtrace.hh"
+#include "prefetch/registry.hh"
 #include "sim/serialize.hh"
 #include "trace/instr.hh"
 #include "trace/registry.hh"
 #include "verify/sim_error.hh"
+
+#include "test_util.hh"
 
 namespace berti
 {
@@ -30,48 +36,36 @@ namespace berti
 namespace
 {
 
-/** The resume matrix the acceptance criteria name: three workloads
- *  crossed with the checkpointable specs, including the temporal /
- *  Markov specs and a hybrid of each selection policy. */
+/** The resume matrix: three workloads crossed with every registered
+ *  spec, plus a duel hybrid of the two temporal specs. */
 const std::vector<std::string> kWorkloads = {
     "mcf-like.472", "bwaves-like.2609", "cactu-like.709"};
-const std::vector<std::string> kSpecs = {
-    "none",
-    "berti",
-    "ip-stride",
-    "stream",
-    "cmc",
-    "markov",
-    "hybrid(berti,cmc)",
-    "hybrid(berti,markov;select=ip)",
-    "hybrid(cmc,markov;select=duel)"};
+
+std::vector<std::string>
+resumeSpecs()
+{
+    std::vector<std::string> specs = prefetch::allSpecs();
+    specs.push_back("hybrid(cmc,markov;select=duel)");
+    return specs;
+}
 
 constexpr std::uint64_t kWarmup = 4000;
 constexpr std::uint64_t kMeasure = 12000;
 
 MachineConfig
-configFor(const std::string &spec_name, unsigned cores = 1)
+configFor(const std::string &spec_name, unsigned cores = 1,
+          const std::string &backend = {})
 {
     PrefetcherSpec spec = makeSpec(spec_name);
     MachineConfig cfg = MachineConfig::sunnyCove(cores);
     cfg.l1dPrefetcher = spec.l1d;
     cfg.l2Prefetcher = spec.l2;
-    return cfg;
-}
-
-/** Byte equality with a readable failure (no multi-KB blob dumps). */
-void
-expectBlobsEqual(const std::string &a, const std::string &b,
-                 const std::string &what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what << ": blob sizes differ";
-    if (a != b) {
-        std::size_t at = 0;
-        while (at < a.size() && a[at] == b[at])
-            ++at;
-        FAIL() << what << ": blobs diverge at byte " << at << " of "
-               << a.size();
+    if (!backend.empty()) {
+        mem::ParsedBackend parsed = mem::parseBackendSpec(backend);
+        cfg.dram = parsed.channel;
+        cfg.memBackend = parsed.sel;
     }
+    return cfg;
 }
 
 /**
@@ -107,12 +101,11 @@ checkResumeBitIdentical(const MachineConfig &cfg,
 
     // Restore must be lossless before any further execution: the
     // resumed machine re-serializes to the exact bytes it was fed.
-    expectBlobsEqual(resumed.saveCheckpointBlob(), mid,
-                     what + " (idempotent restore)");
+    test::expectSameCheckpoint(resumed, mid,
+                               what + " (idempotent restore)");
 
     resumed.run(kMeasure);
-    expectBlobsEqual(resumed.saveCheckpointBlob(), want,
-                     what + " (post-resume run)");
+    test::expectSameCheckpoint(resumed, want, what + " (post-resume run)");
 
     // Blob equality implies stats equality, but check the exported
     // metrics too so a future blob-layout bug cannot mask a stats one.
@@ -137,17 +130,37 @@ TEST(Checkpoint, SplitRunMatchesSingleRun)
     split.run(kWarmup);
     split.run(kMeasure);
 
-    expectBlobsEqual(split.saveCheckpointBlob(),
-                     single.saveCheckpointBlob(), "split vs single run");
+    test::expectSameCheckpoint(split, single.saveCheckpointBlob(),
+                               "split vs single run");
 }
 
-TEST(Checkpoint, ResumeBitIdenticalAcrossWorkloadAndSpecMatrix)
+TEST(Checkpoint, EverySpecResumesBitIdenticalOrRefusesWithReason)
 {
-    for (const std::string &spec : kSpecs) {
-        for (const std::string &name : kWorkloads) {
-            const Workload &w = findWorkload(name);
-            checkResumeBitIdentical(configFor(spec), {&w},
-                                    spec + "/" + name);
+    // Every registered spec either round-trips bit-identically on the
+    // three workloads or, when its machine cannot checkpoint, refuses
+    // up front with a typed error naming the prefetcher.
+    for (const std::string &spec : resumeSpecs()) {
+        MachineConfig cfg = configFor(spec);
+        const Workload &w0 = findWorkload(kWorkloads[0]);
+        auto gen = w0.make();
+        Machine probe(cfg, {gen.get()});
+        std::string why;
+        if (probe.checkpointSupported(&why)) {
+            for (const std::string &name : kWorkloads) {
+                const Workload &w = findWorkload(name);
+                checkResumeBitIdentical(cfg, {&w}, spec + "/" + name);
+            }
+            continue;
+        }
+        EXPECT_NE(why.find(spec), std::string::npos) << why;
+        try {
+            (void)probe.saveCheckpointBlob();
+            ADD_FAILURE() << spec << ": saving an uncheckpointable "
+                          << "machine must throw";
+        } catch (const verify::SimError &e) {
+            EXPECT_EQ(e.kind(), verify::ErrorKind::Checkpoint) << spec;
+            EXPECT_NE(e.reason().find(spec), std::string::npos)
+                << spec << ": " << e.reason();
         }
     }
 }
@@ -183,9 +196,10 @@ TEST(Checkpoint, ResumeBitIdenticalOnAdversarialMicroTraces)
         resumed.resumeFromBlob(mid);
         resumed.run(kMeasure);
 
-        expectBlobsEqual(resumed.saveCheckpointBlob(),
-                         uninterrupted.saveCheckpointBlob(),
-                         cls.name + " seed=" + std::to_string(seed));
+        test::expectSameCheckpoint(resumed,
+                                   uninterrupted.saveCheckpointBlob(),
+                                   cls.name + " seed=" +
+                                       std::to_string(seed));
     }
 }
 
@@ -224,7 +238,7 @@ TEST(Checkpoint, FileRoundTripIsAtomicAndLossless)
     auto gen_b = w.make();
     Machine resumed(cfg, {gen_b.get()});
     resumed.resumeFrom(path);
-    expectBlobsEqual(resumed.saveCheckpointBlob(), blob, "file round-trip");
+    test::expectSameCheckpoint(resumed, blob, "file round-trip");
     std::remove(path.c_str());
 }
 
@@ -241,27 +255,6 @@ TEST(Checkpoint, MissingFileIsTypedError)
     } catch (const verify::SimError &e) {
         EXPECT_EQ(e.kind(), verify::ErrorKind::Checkpoint);
         EXPECT_EQ(e.path(), path);
-    }
-}
-
-TEST(Checkpoint, UnsupportedPrefetcherRefusesWithReason)
-{
-    // BOP keeps a round-robin offset-scoring engine that has no
-    // serialization hooks yet; the machine must say so up front.
-    MachineConfig cfg = configFor("bop");
-    const Workload &w = findWorkload("mcf-like.472");
-    auto gen = w.make();
-    Machine m(cfg, {gen.get()});
-
-    std::string why;
-    EXPECT_FALSE(m.checkpointSupported(&why));
-    EXPECT_NE(why.find("bop"), std::string::npos) << why;
-
-    try {
-        (void)m.saveCheckpointBlob();
-        FAIL() << "saving an uncheckpointable machine must throw";
-    } catch (const verify::SimError &e) {
-        EXPECT_EQ(e.kind(), verify::ErrorKind::Checkpoint);
     }
 }
 
@@ -393,6 +386,113 @@ TEST(Checkpoint, CorruptBlobsRejectedBeforeAnyStateIsTouched)
     } catch (const verify::SimError &e) {
         EXPECT_EQ(e.kind(), verify::ErrorKind::Checkpoint);
         EXPECT_NE(e.reason().find("version"), std::string::npos)
+            << e.reason();
+    }
+}
+
+TEST(Checkpoint, PristineLayoutIsPinned)
+{
+    // The versioning rule made executable: a pristine machine's blob
+    // depends only on the layout (and the configuration), so any
+    // layout change moves these constants.
+    struct Pin
+    {
+        const char *spec;
+        const char *backend;
+        std::size_t size;
+        std::uint64_t hash;
+    };
+    const std::array<Pin, 3> pins = {{
+        {"berti", "", 1574510, 0xe46169cbb293539bull},
+        {"hybrid(berti,cmc)", "", 1655530, 0x6cb0f17e4044f25cull},
+        {"berti", "dram:hbm", 1579125, 0x1d11e905af615442ull},
+    }};
+    for (const Pin &pin : pins) {
+        const Workload &w = findWorkload("mcf-like.472");
+        auto gen = w.make();
+        Machine m(configFor(pin.spec, 1, pin.backend), {gen.get()});
+        std::string blob = m.saveCheckpointBlob();
+        std::string what = std::string(pin.spec) + " on '" + pin.backend +
+                           "': the checkpoint layout changed — bump "
+                           "kCheckpointVersion and update this constant";
+        EXPECT_EQ(blob.size(), pin.size) << what;
+        EXPECT_EQ(sim::fnv1a64(blob), pin.hash) << what;
+    }
+}
+
+TEST(Checkpoint, MismatchNamesTheDivergentStatePath)
+{
+    const Workload &w = findWorkload("mcf-like.472");
+    auto gen_a = w.make();
+    Machine shorter(configFor("berti"), {gen_a.get()});
+    shorter.run(kWarmup);
+    auto gen_b = w.make();
+    Machine longer(configFor("berti"), {gen_b.get()});
+    longer.run(kWarmup + kMeasure);
+    const std::string want = longer.saveCheckpointBlob();
+
+    // The first field the two runs disagree on is the cycle count.
+    EXPECT_NONFATAL_FAILURE(
+        test::expectSameCheckpoint(shorter, want, "short vs long run"),
+        "bytes), in clock");
+    EXPECT_EQ(shorter.checkpointPathAt(0), "header");
+}
+
+TEST(Checkpoint, PathProbeNamesSectionsAndElements)
+{
+    struct Slot
+    {
+        bool valid = false;
+        std::uint8_t coverage = 0;
+    };
+    struct Entry
+    {
+        std::uint64_t tag = 0;
+        std::array<Slot, 4> slots{};
+    };
+    std::vector<Entry> table(6);
+    auto walk = [&table](sim::StateIO &io) {
+        io.section("pf", [&] {
+            io.fixed("table", table, [&io](Entry &e) {
+                io.u64(e.tag);
+                io.fixed("slots", e.slots, [&io](Slot &s) {
+                    io.b(s.valid);
+                    io.u8(s.coverage);
+                });
+            });
+        });
+    };
+
+    // Layout: table count (4), then per entry tag (8) + slot count (4)
+    // + 4 slots of 2 bytes; so entry 3 starts at 4 + 3 * 20 = 64 and
+    // its slot 1 coverage byte sits at 64 + 12 + 2 + 1 = 79.
+    auto path_at = [&walk](std::size_t offset) {
+        sim::PathProbe probe(offset);
+        sim::ByteWriter w;
+        w.attach(&probe);
+        sim::StateIO io(w);
+        walk(io);
+        return probe.path();
+    };
+    EXPECT_EQ(path_at(79), "pf.table[3].slots[1]");
+    EXPECT_EQ(path_at(64), "pf.table[3]");
+    EXPECT_EQ(path_at(0), "pf.table");
+
+    // A load into a differently sized table fails typed with the one
+    // shared size-mismatch message.
+    sim::ByteWriter w;
+    sim::StateIO save(w);
+    walk(save);
+    table.resize(7);
+    sim::ByteReader r(w.data(), "test");
+    sim::StateIO load(r);
+    try {
+        walk(load);
+        FAIL() << "size mismatch accepted";
+    } catch (const verify::SimError &e) {
+        EXPECT_EQ(e.kind(), verify::ErrorKind::Checkpoint);
+        EXPECT_NE(e.reason().find("table size 6 does not match the live 7"),
+                  std::string::npos)
             << e.reason();
     }
 }

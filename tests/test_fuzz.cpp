@@ -518,14 +518,18 @@ TEST_P(CheckpointFuzz, SaveRestoreNeverDivergesOnMicroTraces)
         ScriptedGen gen_b(instrs);
         Machine resumed(cfg, {&gen_b});
         resumed.resumeFromBlob(mid);
-        ASSERT_TRUE(resumed.saveCheckpointBlob() == mid)
-            << "restore not idempotent: " << cls.name << " seed=" << seed;
+        std::string what = cls.name + " seed=" + std::to_string(seed) +
+                           " trace_seed=" + std::to_string(trace_seed) +
+                           " warmup=" + std::to_string(warmup) +
+                           " measure=" + std::to_string(measure);
+        test::expectSameCheckpoint(resumed, mid,
+                                   "restore not idempotent: " + what);
         resumed.run(measure);
-        ASSERT_TRUE(resumed.saveCheckpointBlob() ==
-                    uninterrupted.saveCheckpointBlob())
-            << "diverged after resume: " << cls.name << " seed=" << seed
-            << " trace_seed=" << trace_seed << " warmup=" << warmup
-            << " measure=" << measure;
+        test::expectSameCheckpoint(resumed,
+                                   uninterrupted.saveCheckpointBlob(),
+                                   "diverged after resume: " + what);
+        if (HasFailure())
+            return;
     }
 }
 
@@ -575,7 +579,7 @@ TEST_P(CheckpointFuzz, DamagedBlobsAreRejectedAsTypedErrors)
     // Every rejection happened before mutation: the machine still
     // accepts the intact blob.
     victim.resumeFromBlob(blob);
-    EXPECT_TRUE(victim.saveCheckpointBlob() == blob);
+    test::expectSameCheckpoint(victim, blob, "intact blob after rejections");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzz,

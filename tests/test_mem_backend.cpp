@@ -527,11 +527,11 @@ TEST(BackendCheckpoint, ResumeIsBitIdenticalPerBackend)
         auto gen_b = w.make();
         Machine resumed(cfg, {gen_b.get()});
         resumed.resumeFromBlob(mid);
-        EXPECT_EQ(resumed.saveCheckpointBlob(), mid)
-            << spec << ": restore not idempotent";
+        test::expectSameCheckpoint(resumed, mid,
+                                   spec + ": restore not idempotent");
         resumed.run(12000);
-        EXPECT_EQ(resumed.saveCheckpointBlob(), want)
-            << spec << ": post-resume state diverged";
+        test::expectSameCheckpoint(resumed, want,
+                                   spec + ": post-resume state diverged");
         EXPECT_EQ(obs::toJson(resumed.metricsSnapshot()),
                   obs::toJson(uninterrupted.metricsSnapshot()))
             << spec << ": metrics diverged";

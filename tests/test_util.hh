@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared test helpers: a scoped environment override, the result
- * matrix on a fixed job count, a scripted prefetch port that records
- * issued requests, and a fixed-latency backing memory for driving a
- * Cache in isolation.
+ * matrix on a fixed job count, the checkpoint compare, a scripted
+ * prefetch port that records issued requests, and a fixed-latency
+ * backing memory for driving a Cache in isolation.
  */
 
 #ifndef BERTI_TESTS_TEST_UTIL_HH
@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "harness/machine.hh"
 #include "harness/supervisor.hh"
 #include "mem/cache.hh"
 #include "obs/export.hh"
@@ -93,6 +94,26 @@ expectJobCountInvariant(const std::vector<Workload> &workloads,
                 << jobs << " jobs";
         }
     }
+}
+
+/**
+ * `got`'s checkpoint must be byte-identical to `want`. A mismatch is a
+ * non-fatal failure naming the state path of the first divergent byte
+ * (e.g. "core0.l1d.pf.table[3].slots[5]"), never a dump of the blobs.
+ */
+inline void
+expectSameCheckpoint(const Machine &got, const std::string &want,
+                     const std::string &what = {})
+{
+    std::string blob = got.saveCheckpointBlob();
+    if (blob == want)
+        return;
+    std::size_t at = 0;
+    while (at < blob.size() && at < want.size() && blob[at] == want[at])
+        ++at;
+    ADD_FAILURE() << what << ": checkpoints diverge at byte " << at
+                  << " (" << blob.size() << " vs " << want.size()
+                  << " bytes), in " << got.checkpointPathAt(at);
 }
 
 /** Records every prefetch a prefetcher under test issues. */
