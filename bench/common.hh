@@ -165,21 +165,22 @@ runMatrix(const sim::SimOptions &opt, const std::vector<Workload> &workloads,
     return out;
 }
 
-/** Geomean speedup of a sub-range selected by suite. */
+/** Geomean speedup of a sub-range selected by suite (speedupGeomean: a
+ *  non-positive baseline IPC throws instead of dropping the workload). */
 inline double
 suiteSpeedup(const std::vector<Workload> &workloads,
              const std::vector<SimResult> &test,
              const std::vector<SimResult> &baseline,
              const std::string &suite)
 {
-    std::vector<double> s;
+    std::vector<SimResult> t, b;
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         if (suite.empty() || workloads[i].suite == suite) {
-            if (baseline[i].ipc > 0)
-                s.push_back(test[i].ipc / baseline[i].ipc);
+            t.push_back(test[i]);
+            b.push_back(baseline[i]);
         }
     }
-    return geomean(s.data(), s.size());
+    return speedupGeomean(t, b);
 }
 
 /** Arithmetic mean of a per-workload metric over a suite. */

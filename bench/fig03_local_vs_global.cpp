@@ -32,6 +32,7 @@ main(int argc, char **argv)
     forEachIndexParallel(2, [&](std::size_t i) {
         gens[i] = w.make();
         MachineConfig cfg = MachineConfig::sunnyCove(1);
+        cfg.applyOptions(opt);
         cfg.l1dPrefetcher = factories[i];
         machines[i] = std::make_unique<Machine>(
             cfg, std::vector<TraceGenerator *>{gens[i].get()});

@@ -76,7 +76,7 @@ if [ ! -s "$results/BENCH_simspeed.json" ]; then
 fi
 if [ ! -s "$results/micro_prefetchers.txt" ]; then
     tmp="$results/.micro_prefetchers.txt.tmp"
-    if ./build/bench/micro_prefetchers --benchmark_min_time=0.1s \
+    if ./build/bench/micro_prefetchers --benchmark_min_time=0.1 \
         > "$tmp" 2> "$results/log/micro_prefetchers.stderr"; then
         mv "$tmp" "$results/micro_prefetchers.txt"
     else

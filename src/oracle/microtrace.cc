@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "sim/options.hh"
-#include "trace/trace_io.hh"
+#include "trace/champsim.hh"
 #include "verify/sim_error.hh"
 
 namespace berti::oracle
@@ -286,14 +286,13 @@ fromInstrs(const std::vector<TraceInstr> &instrs)
 bool
 saveArtifact(const std::string &path, const MicroTrace &trace)
 {
-    return saveTrace(path, toInstrs(trace)).ok();
+    return saveChampSim(path, toInstrs(trace)).ok();
 }
 
 MicroTrace
 loadArtifact(const std::string &path)
 {
-    auto result = loadTrace(path);
-    return fromInstrs(result.value());  // throws the typed error on failure
+    return fromInstrs(loadChampSim(path));  // throws the typed error
 }
 
 std::uint64_t

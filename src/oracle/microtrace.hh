@@ -3,8 +3,8 @@
  * Property-based micro-traces for the differential oracle: a tiny
  * line-granular operation model (Load / RFO / Writeback with an optional
  * idle gap), deterministic seeded generators producing adversarial
- * interleavings, and a lossless mapping to the standard .trace file
- * format so any failing trace is a replayable artifact.
+ * interleavings, and a lossless mapping to the ChampSim trace format so
+ * any failing trace is a replayable artifact.
  *
  * Seeding convention: every test derives its RNG seed through
  * testSeed(), which honours BERTI_TEST_SEED so a divergence reported in
@@ -79,7 +79,7 @@ const MicroTraceClass &findMicroTraceClass(const std::string &name);
 // ---------------------------------------------------------------- trace
 // round-trip: one TraceInstr per op (Load -> load, RFO -> load+store,
 // Writeback -> store at a sentinel IP), gaps encoded as preceding
-// non-memory filler instructions so artifacts stay plain .trace files a
+// non-memory filler instructions so artifacts stay plain .champsim files a
 // Machine can also replay.
 
 /** IP marking a store record as an explicit writeback op. */
@@ -91,7 +91,7 @@ constexpr Addr kGapSentinelIp = 0xFFFF0040ull;
 std::vector<TraceInstr> toInstrs(const MicroTrace &trace);
 MicroTrace fromInstrs(const std::vector<TraceInstr> &instrs);
 
-/** Save/load a micro trace as a .trace artifact. */
+/** Save/load a micro trace as a .champsim artifact. */
 bool saveArtifact(const std::string &path, const MicroTrace &trace);
 MicroTrace loadArtifact(const std::string &path);
 

@@ -79,7 +79,7 @@ shrinkToArtifact(const MicroTrace &failing, const StillFails &fails,
                  ShrinkStats *stats)
 {
     MicroTrace shrunk = shrinkTrace(failing, fails, stats);
-    std::string path = artifactDir() + "/" + label + ".trace";
+    std::string path = artifactDir() + "/" + label + ".champsim";
     saveArtifact(path, shrunk);
     if (artifact_path)
         *artifact_path = path;

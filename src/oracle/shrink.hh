@@ -4,7 +4,7 @@
  * predicate that re-runs the failure, it repeatedly deletes chunks —
  * halves, quarters, down to single ops — keeping any deletion that still
  * fails, then zeroes the gaps it can. The result is a near-minimal
- * counterexample dumped as a replayable .trace artifact.
+ * counterexample dumped as a replayable .champsim artifact.
  */
 
 #ifndef BERTI_ORACLE_SHRINK_HH
@@ -39,7 +39,7 @@ MicroTrace shrinkTrace(const MicroTrace &failing, const StillFails &fails,
 
 /**
  * Shrink and persist: minimizes, writes the artifact to
- * artifactDir()/<label>.trace, and returns the minimized trace. The
+ * artifactDir()/<label>.champsim, and returns the minimized trace. The
  * path written is reported through *artifact_path when non-null.
  */
 MicroTrace shrinkToArtifact(const MicroTrace &failing,

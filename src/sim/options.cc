@@ -93,7 +93,7 @@ using O = SimOptions;
 
 constexpr Knob kKnobs[] = {
     {"BERTI_JOBS", "--jobs=", setCount<&O::jobs, 1>, true},
-    {"BERTI_CYCLE_SKIP", "--cycle-skip", setSwitch<&O::cycleSkip>},
+    {"BERTI_CYCLE_SKIP", nullptr, setSwitch<&O::cycleSkip>},
     {"BERTI_SAMPLE_WINDOWS", "--sample-windows=",
      setCount<&O::sampleWindows, 0>, true},
     {"BERTI_SAMPLE_WARMUP", "--sample-warmup=",
@@ -174,10 +174,6 @@ SimOptions::fromEnv()
 bool
 SimOptions::applyFlag(const std::string &arg)
 {
-    if (arg == "--no-cycle-skip") {
-        cycleSkip = false;
-        return true;
-    }
     for (const Knob &k : kKnobs) {
         if (!k.flag)
             continue;

@@ -81,7 +81,7 @@ struct SimOptions
     /**
      * Extra file-backed workloads appended to bench workload lists
      * (BERTI_TRACE_WORKLOADS): a comma-separated list of `file:` URIs
-     * or bare trace paths (`/t/x.champsim.xz,file:/t/y.trace`), each
+     * or bare trace paths (`/t/x.champsim.xz,file:/t/y.champsim`), each
      * resolved through trace::resolveWorkload next to the synthetic
      * suites. Empty = none.
      */
@@ -161,9 +161,9 @@ struct SimOptions
     /**
      * Apply one "--key[=value]" override on top of the current values,
      * parsed exactly like the matching environment variable.
-     * Recognised: --jobs=N, --quick, --no-cycle-skip, --cycle-skip,
-     * --stats-dir=DIR, --trace-workloads=LIST, --mem-backend=SPEC,
-     * --verify, --sample-windows=N, --sample-warmup=N,
+     * Recognised: --jobs=N, --quick, --stats-dir=DIR,
+     * --trace-workloads=LIST, --mem-backend=SPEC, --verify,
+     * --sample-windows=N, --sample-warmup=N,
      * --sample-measure=N, --sample-stride=N, --hybrid-degree=N,
      * --hybrid-credits=N, --hybrid-credit-max=N, --hybrid-duel-sets=N,
      * --hybrid-psel-bits=N. @return false when the flag is not a

@@ -447,6 +447,115 @@ ChampSimDecoder::rewind()
         prevLoadDest[d] = 0;
 }
 
+// =============================================================== encoder
+
+namespace
+{
+
+/** The register every encoded load writes and a dependent load reads. */
+constexpr std::uint8_t kLoadRegister = 1;
+
+void
+storeLe64(unsigned char *p, std::uint64_t v)
+{
+    std::memcpy(p, &v, 8);  // little-endian hosts only, like loadLe64
+}
+
+/** A memory operand: kNoAddr is ChampSim's 0, "no operand". */
+void
+storeOperand(unsigned char *p, Addr a)
+{
+    storeLe64(p, a == kNoAddr ? 0 : a);
+}
+
+} // namespace
+
+verify::Result<ChampSimBytes>
+encodeChampSimRecord(const TraceInstr &in)
+{
+    const char *why = nullptr;
+    if (in.load0 == 0 || in.load1 == 0 || in.store == 0)
+        why = "address 0 is ChampSim's \"no operand\"";
+    else if (!in.isLoad() && in.load1 != kNoAddr)
+        why = "load1 without load0";
+    else if (!in.isLoad() && in.dependsOnPrevLoad)
+        why = "dependsOnPrevLoad on a non-load";
+    if (why) {
+        return ioError("encodeChampSimRecord", "", 0,
+                       std::string("instruction not representable: ") +
+                           why);
+    }
+    ChampSimBytes b{};
+    storeLe64(b.data(), in.ip);
+    b[8] = in.isBranch ? 1 : 0;
+    b[9] = in.taken ? 1 : 0;
+    b[10] = in.isLoad() ? kLoadRegister : 0;           // dest register 0
+    b[12] = in.dependsOnPrevLoad ? kLoadRegister : 0;  // src register 0
+    storeOperand(b.data() + 16, in.store);             // dest memory 0
+    storeOperand(b.data() + 32, in.load0);             // src memory 0
+    storeOperand(b.data() + 40, in.load1);             // src memory 1
+    return b;
+}
+
+verify::Result<std::uint64_t>
+saveChampSim(const std::string &path, TraceGenerator &gen,
+             std::uint64_t count)
+{
+    auto saveError = [&path](std::uint64_t offset, const std::string &why) {
+        return ioError("saveChampSim", path, offset, why);
+    };
+    // Owned, so a generator that throws mid-recording cannot leak it.
+    auto close = [](std::FILE *fp) { std::fclose(fp); };
+    std::unique_ptr<std::FILE, decltype(close)> f(
+        std::fopen(path.c_str(), "wb"), close);
+    if (!f)
+        return saveError(0, errnoReason("cannot open file for writing"));
+
+    bool loadSeen = false;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        const TraceInstr in = gen.next();
+        auto rec = encodeChampSimRecord(in);
+        std::string why;
+        if (!rec.ok())
+            why = rec.error().reason();
+        else if (in.dependsOnPrevLoad && !loadSeen)
+            why = "instruction not representable: dependsOnPrevLoad with "
+                  "no earlier load";
+        else if (std::fwrite(rec.value().data(), kChampSimRecordBytes, 1,
+                             f.get()) != 1)
+            why = errnoReason("cannot write");
+        if (!why.empty()) {
+            return saveError(i * kChampSimRecordBytes,
+                             "record " + std::to_string(i) + ": " + why);
+        }
+        loadSeen |= in.isLoad();
+    }
+    const std::uint64_t bytes = count * kChampSimRecordBytes;
+    if (std::fclose(f.release()) != 0)
+        return saveError(bytes, errnoReason("cannot flush file"));
+    return bytes;
+}
+
+verify::Result<std::uint64_t>
+saveChampSim(const std::string &path, const std::vector<TraceInstr> &instrs)
+{
+    ScriptedGen gen(instrs.empty() ? std::vector<TraceInstr>{TraceInstr{}}
+                                   : instrs);
+    return saveChampSim(path, gen, instrs.size());
+}
+
+std::vector<TraceInstr>
+loadChampSim(const std::string &path)
+{
+    StreamTraceSource src(path);
+    ChampSimDecoder dec(src);
+    std::vector<TraceInstr> instrs;
+    TraceInstr in;
+    while (dec.next(in))
+        instrs.push_back(in);
+    return instrs;
+}
+
 // ================================================================ replay
 
 namespace

@@ -25,6 +25,10 @@
  * byte offset of the failure — never a crash or a silently short
  * stream.
  *
+ * This is the repo's one trace format: saveChampSim writes it (trace
+ * recording, the oracle's shrunk counterexamples), losslessly for
+ * every TraceInstr the decoder can produce.
+ *
  * Input stack layering (each independently testable):
  *   TraceSource        borrow-bytes interface (view/consume/rewind)
  *   MmapTraceSource    mmap-backed, zero-copy: decode reads the page
@@ -41,6 +45,7 @@
 #ifndef BERTI_TRACE_CHAMPSIM_HH
 #define BERTI_TRACE_CHAMPSIM_HH
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -227,10 +232,9 @@ class StreamTraceSource : public TraceSource
  *
  * ChampSim uses address 0 / register 0 as "no operand"; both map to
  * our kNoAddr / absent conventions. An optional FaultInjector mutates
- * raw records before decode exactly as the native loader does: bit
- * flips and garbage pass through as hostile-but-parseable payloads,
- * injected truncation surfaces as the same typed error a real
- * truncated file would produce.
+ * raw records before decode: bit flips and garbage pass through as
+ * hostile-but-parseable payloads, injected truncation surfaces as the
+ * same typed error a real truncated file would produce.
  */
 class ChampSimDecoder
 {
@@ -270,6 +274,40 @@ class ChampSimDecoder
 
 /** Decode one 64-byte record image (no source, no fault hook). */
 ChampSimRecord decodeChampSimRecord(const unsigned char *bytes);
+
+/** One encoded input_instr record image. */
+using ChampSimBytes = std::array<unsigned char, kChampSimRecordBytes>;
+
+/**
+ * Encode one instruction as the record ChampSimDecoder::next maps back
+ * onto the identical TraceInstr: load0/load1 go to source-memory slots
+ * 0/1, store to destination-memory slot 0; every load writes
+ * destination register 1 and a dependsOnPrevLoad load reads source
+ * register 1. What the format cannot carry is a typed
+ * SimError(TraceIo), never a silent change: a memory address of 0
+ * (ChampSim's "no operand"), load1 without load0, or dependsOnPrevLoad
+ * on a non-load.
+ */
+verify::Result<ChampSimBytes> encodeChampSimRecord(const TraceInstr &in);
+
+/**
+ * Write instructions as a raw ChampSim trace. Returns the bytes
+ * written, or a typed SimError(TraceIo) with the path, the offset of
+ * the failed or unencodable record and the reason. Besides
+ * encodeChampSimRecord's cases, a dependsOnPrevLoad load with no
+ * earlier load in the file is unencodable: it has no register to read.
+ */
+verify::Result<std::uint64_t> saveChampSim(
+    const std::string &path, const std::vector<TraceInstr> &instrs);
+
+/** Write count instructions pulled from gen to path. */
+verify::Result<std::uint64_t> saveChampSim(const std::string &path,
+                                           TraceGenerator &gen,
+                                           std::uint64_t count);
+
+/** Decode a whole ChampSim trace (raw or compressed) once, in order.
+ *  Throws verify::SimError(TraceIo) on any decode failure. */
+std::vector<TraceInstr> loadChampSim(const std::string &path);
 
 /**
  * TraceGenerator adapter: replays a ChampSim trace file cyclically

@@ -70,7 +70,11 @@ QueuedGen::emitLoad(Addr ip, Addr vaddr, bool depends_on_prev)
     TraceInstr in;
     in.ip = ip;
     in.load0 = vaddr;
-    in.dependsOnPrevLoad = depends_on_prev;
+    // The stream's first load has no earlier load to depend on; the
+    // core gives it no dependence either way, and a trace file has no
+    // load register for it to read.
+    in.dependsOnPrevLoad = depends_on_prev && loadEmitted;
+    loadEmitted = true;
     queue.push_back(in);
 }
 

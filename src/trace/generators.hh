@@ -38,6 +38,9 @@ class QueuedGen : public TraceGenerator
     void emitBranch(Addr ip, bool taken);
 
     RingQueue<TraceInstr> queue;
+
+  private:
+    bool loadEmitted = false;  //!< a load is already in the stream
 };
 
 /**

@@ -7,7 +7,6 @@
 #include "trace/gap_kernels.hh"
 #include "trace/generators.hh"
 #include "trace/graph.hh"
-#include "trace/trace_io.hh"
 #include "verify/sim_error.hh"
 
 namespace berti
@@ -343,14 +342,11 @@ resolveWorkload(const std::string &name)
                                    "' (empty path)");
     }
 
-    bool champsim = isChampSimTracePath(path);
-    bool native = path.size() >= 6 &&
-                  path.compare(path.size() - 6, 6, ".trace") == 0;
-    if (!champsim && !native) {
+    if (!isChampSimTracePath(path)) {
         throw verify::SimError(
             verify::ErrorKind::Config, "resolveWorkload",
             "unsupported trace extension in workload '" + name +
-                "' (expected .champsim[.xz|.gz] or .trace)");
+                "' (expected .champsim[.xz|.gz])");
     }
 
     Workload w;
@@ -360,13 +356,7 @@ resolveWorkload(const std::string &name)
     // a typed TraceIo error instead of inside a worker thread, and the
     // result-store key is pinned to this exact file content.
     w.contentHash = fileContentHash(path).value();
-    if (champsim) {
-        w.make = [path] {
-            return std::make_unique<ChampSimReplayGen>(path);
-        };
-    } else {
-        w.make = [path] { return std::make_unique<FileReplayGen>(path); };
-    }
+    w.make = [path] { return std::make_unique<ChampSimReplayGen>(path); };
     return w;
 }
 

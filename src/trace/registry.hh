@@ -50,10 +50,10 @@ const Workload &findWorkload(const std::string &name);
 /**
  * Resolve a workload by registry name or `file:` URI. A name of the
  * form `file:/path/to/foo.champsim[.xz|.gz]` yields a ChampSim-trace
- * replay workload (suite "file") and `file:/path/to/foo.trace` a
- * native-format one; the file's content hash is computed here so the
- * result store can key on it. Errors are typed: an unknown registry
- * name, an empty or extension-less `file:` path throws
+ * replay workload (suite "file"); the file's content hash is computed
+ * here so the result store can key on it. Errors are typed: an unknown
+ * registry name, an empty `file:` path or one without a ChampSim
+ * extension throws
  * verify::SimError(ErrorKind::Config) naming the offending workload
  * string; an unreadable trace file throws
  * verify::SimError(ErrorKind::TraceIo) with the path.

@@ -7,9 +7,11 @@
  * reference trace, the field mapping onto TraceInstr, exhaustive
  * truncation and garbage fuzzing (every malformed input is a typed
  * SimError(TraceIo) with a byte offset — no crash, no silent short
- * stream), fault-injection hooks, allocation-free steady-state decode,
- * and differential bit-identical SimResults across the mmap / stream /
- * preload source layers and across worker counts.
+ * stream), the writer's lossless round trip for every registered
+ * workload and micro-trace class, fault-injection hooks,
+ * allocation-free steady-state decode, and differential bit-identical
+ * SimResults across the mmap / stream / preload source layers and
+ * across worker counts.
  *
  * Regenerate the checked-in reference after a deliberate recipe change:
  *   BERTI_UPDATE_CHAMPSIM_REF=1 ./test_champsim \
@@ -29,8 +31,10 @@
 #include "harness/experiment.hh"
 #include "harness/result_store.hh"
 #include "obs/export.hh"
+#include "oracle/microtrace.hh"
 #include "sim/options.hh"
 #include "sim/rng.hh"
+#include "trace/generators.hh"
 #include "trace/champsim.hh"
 #include "trace/registry.hh"
 #include "verify/fault_injector.hh"
@@ -439,6 +443,171 @@ TEST(ChampSimDecode, DependenceSurvivesInterveningNonLoads)
     EXPECT_TRUE(got[3].dependsOnPrevLoad);
 }
 
+// ================================================================ writer
+
+namespace
+{
+
+/** saveChampSim then a whole-file decode must give back instrs. */
+void
+expectLosslessRoundTrip(const std::vector<TraceInstr> &instrs,
+                        const std::string &label)
+{
+    std::string path = tempPath("lossless");
+    auto written = saveChampSim(path, instrs);
+    ASSERT_TRUE(written.ok()) << label << ": " << written.error().what();
+    EXPECT_EQ(written.value(), instrs.size() * kChampSimRecordBytes);
+    std::vector<TraceInstr> back = loadChampSim(path);
+    ASSERT_EQ(back.size(), instrs.size()) << label;
+    for (std::size_t i = 0; i < instrs.size(); ++i)
+        ASSERT_TRUE(sameInstr(back[i], instrs[i])) << label << " @" << i;
+    std::remove(path.c_str());
+}
+
+} // namespace
+
+TEST(ChampSimWrite, RoundTripPreservesEveryField)
+{
+    std::vector<TraceInstr> instrs(4);
+    instrs[0].ip = 0x400010;
+    instrs[0].load0 = 0x10000040;
+    instrs[0].load1 = 0x10000080;
+    instrs[1].ip = 0x400014;
+    instrs[1].store = 0x20000000;
+    instrs[1].isBranch = true;
+    instrs[1].taken = true;
+    instrs[2].ip = 0x400018;
+    instrs[2].load0 = 0x30000000;
+    instrs[2].store = 0x30000040;
+    instrs[2].dependsOnPrevLoad = true;
+    instrs[3].ip = 0;  // an IP is not an operand: 0 is a plain value
+    instrs[3].taken = true;
+    expectLosslessRoundTrip(instrs, "hand-built");
+
+    // The record layout the decoder reads back.
+    ChampSimRecord r =
+        decodeChampSimRecord(encodeChampSimRecord(instrs[2]).value().data());
+    EXPECT_EQ(r.srcMemory[0], 0x30000000u);
+    EXPECT_EQ(r.srcMemory[1], 0u);
+    EXPECT_EQ(r.destMemory[0], 0x30000040u);
+    EXPECT_EQ(r.destRegisters[0], 1u);
+    EXPECT_EQ(r.srcRegisters[0], 1u);
+}
+
+TEST(ChampSimWrite, RecordsGeneratorOutputAndReplaysCyclically)
+{
+    StreamGen::Params p;
+    StreamGen gen(p);
+    std::string path = tempPath("record");
+    auto written = saveChampSim(path, gen, 5000);
+    ASSERT_TRUE(written.ok());
+    EXPECT_EQ(written.value(), 5000 * kChampSimRecordBytes);
+    EXPECT_EQ(readBytes(path).size(), written.value());
+
+    // Replaying matches a fresh generator instance, then wraps.
+    ChampSimReplayGen replay(path);
+    StreamGen fresh(p);
+    TraceInstr first;
+    for (int i = 0; i < 5000; ++i) {
+        TraceInstr a = replay.next();
+        TraceInstr b = fresh.next();
+        ASSERT_TRUE(sameInstr(a, b)) << i;
+        if (i == 0)
+            first = a;
+    }
+    EXPECT_TRUE(sameInstr(replay.next(), first));
+    EXPECT_EQ(replay.traceLength(), 5000u);
+    std::remove(path.c_str());
+}
+
+TEST(ChampSimWrite, SaveReportsTypedWriteErrors)
+{
+    std::vector<TraceInstr> instrs(2);
+    auto result = saveChampSim("/nonexistent-dir/out.champsim", instrs);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().kind(), verify::ErrorKind::TraceIo);
+    EXPECT_EQ(result.error().path(), "/nonexistent-dir/out.champsim");
+    EXPECT_EQ(result.error().offset(), 0u);
+    EXPECT_NE(result.error().reason().find("cannot open"),
+              std::string::npos);
+
+    // Success reports the exact byte count written; no instructions is
+    // an empty file, which replay refuses.
+    std::string path = tempPath("savebytes");
+    auto ok = saveChampSim(path, instrs);
+    ASSERT_TRUE(ok.ok());
+    EXPECT_EQ(ok.value(), 2 * kChampSimRecordBytes);
+    EXPECT_EQ(readBytes(path).size(), ok.value());
+    EXPECT_EQ(saveChampSim(path, {}).value(), 0u);
+    EXPECT_THROW(ChampSimReplayGen{path}, verify::SimError);
+    std::remove(path.c_str());
+}
+
+TEST(ChampSimWrite, EveryWorkloadAndMicroTraceClassIsLossless)
+{
+    for (const Workload &w : allWorkloads()) {
+        auto gen = w.make();
+        std::vector<TraceInstr> instrs(20000);
+        for (auto &in : instrs)
+            in = gen->next();
+        expectLosslessRoundTrip(instrs, w.name);
+    }
+    for (const auto &cls : oracle::microTraceClasses()) {
+        expectLosslessRoundTrip(
+            oracle::toInstrs(cls.generate(0x5eed, 512)), cls.name);
+    }
+}
+
+TEST(ChampSimWrite, UnrepresentableInstructionsAreTypedErrors)
+{
+    TraceInstr zeroAddr;
+    zeroAddr.load0 = 0;
+    TraceInstr load1Only;
+    load1Only.load1 = 0x1000;
+    TraceInstr depStore;
+    depStore.store = 0x1000;
+    depStore.dependsOnPrevLoad = true;
+    struct Case
+    {
+        TraceInstr in;
+        const char *needle;
+    };
+    const Case cases[] = {{zeroAddr, "address 0"},
+                          {load1Only, "load1 without load0"},
+                          {depStore, "non-load"}};
+    std::string path = tempPath("unrepresentable");
+    TraceInstr load;
+    load.load0 = 0x2000;
+    for (const Case &c : cases) {
+        try {
+            (void)encodeChampSimRecord(c.in).value();
+            ADD_FAILURE() << c.needle << " encoded";
+        } catch (const verify::SimError &e) {
+            EXPECT_EQ(e.kind(), verify::ErrorKind::TraceIo);
+            EXPECT_NE(e.reason().find(c.needle), std::string::npos)
+                << e.reason();
+        }
+        // The writer names the file and the record's offset.
+        auto r = saveChampSim(path, {load, load, c.in});
+        ASSERT_FALSE(r.ok()) << c.needle;
+        EXPECT_EQ(r.error().kind(), verify::ErrorKind::TraceIo);
+        EXPECT_EQ(r.error().path(), path);
+        EXPECT_EQ(r.error().offset(), 2 * kChampSimRecordBytes);
+        EXPECT_NE(r.error().reason().find(c.needle), std::string::npos);
+    }
+
+    // A dependent load needs an earlier load's register to read.
+    TraceInstr dep = load;
+    dep.dependsOnPrevLoad = true;
+    auto r = saveChampSim(path, {TraceInstr{}, dep});
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().offset(), kChampSimRecordBytes);
+    EXPECT_NE(r.error().reason().find("no earlier load"),
+              std::string::npos);
+    EXPECT_TRUE(saveChampSim(path, {load, dep}).ok());
+    std::remove(path.c_str());
+}
+
 // ============================================================ fuzz battery
 
 TEST(ChampSimFuzz, EveryTruncationPointReportsARecordStartOffset)
@@ -752,6 +921,8 @@ TEST(ChampSimRegistry, MalformedUrisAreTypedConfigErrors)
     // The offending string is named in the error.
     expectConfig("file:", "file:");
     expectConfig("file:/t/a.bin", "file:/t/a.bin");
+    // A .trace path is refused like any other non-ChampSim extension.
+    expectConfig("file:/x.trace", "(expected .champsim[.xz|.gz])");
     expectConfig("no-such-workload", "no-such-workload");
 
     // A well-formed URI to an unreadable file is an I/O error, not a

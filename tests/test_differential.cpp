@@ -92,7 +92,7 @@ TEST(MicroTrace, ArtifactSaveLoadRoundTrip)
     MicroTrace t = oracle::findMicroTraceClass("writeback-races")
                        .generate(baseSeed(), 64);
     std::string path =
-        ::testing::TempDir() + "/diff_artifact_roundtrip.trace";
+        ::testing::TempDir() + "/diff_artifact_roundtrip.champsim";
     ASSERT_TRUE(oracle::saveArtifact(path, t));
     MicroTrace back = oracle::loadArtifact(path);
     ASSERT_EQ(back.ops.size(), t.ops.size());

@@ -1,7 +1,7 @@
 /** @file Randomised property tests: structural invariants of the cache
- *  and the full machine under arbitrary request mixes, a corrupt-trace
- *  corpus (bit flips, truncations, hostile lengths — direct and via the
- *  FaultInjector), and the wedged-MSHR watchdog scenario. */
+ *  and the full machine under arbitrary request mixes, a corrupt
+ *  ChampSim trace corpus (bit flips and truncations — direct and via
+ *  the FaultInjector), and the wedged-MSHR watchdog scenario. */
 
 #include <cstdio>
 #include <string>
@@ -19,8 +19,8 @@
 #include "obs/timeseries.hh"
 #include "oracle/microtrace.hh"
 #include "sim/rng.hh"
+#include "trace/champsim.hh"
 #include "trace/generators.hh"
-#include "trace/trace_io.hh"
 #include "verify/fault_injector.hh"
 #include "verify/sim_error.hh"
 #include "test_util.hh"
@@ -183,9 +183,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MachineFuzz,
                          ::testing::Values(11ull, 22ull, 33ull, 44ull));
 
 // --------------------------------------------------------------------
-// Corrupt-trace corpus: arbitrary byte-level damage to a valid trace
-// file must yield either a successfully parsed trace or a typed
-// SimError — never a crash, hang, or silent empty run.
+// Corrupt-trace corpus: arbitrary byte-level damage to a valid ChampSim
+// trace must replay or fail with a typed SimError — never a crash,
+// hang, or silent empty run.
 // --------------------------------------------------------------------
 
 namespace
@@ -195,18 +195,30 @@ std::string
 fuzzTracePath(const char *tag)
 {
     return std::string(::testing::TempDir()) + "/berti_fuzz_" + tag +
-           ".trace";
+           ".champsim";
 }
 
-/** Record a short StreamGen trace to a fresh temp file. */
+/** Record a short StreamGen trace to a temp file. */
 std::string
 makeValidTrace(const char *tag, std::uint64_t count = 200)
 {
     StreamGen::Params p;
     StreamGen gen(p);
     std::string path = fuzzTracePath(tag);
-    EXPECT_TRUE(saveTrace(path, gen, count));
+    EXPECT_TRUE(saveChampSim(path, gen, count));
     return path;
+}
+
+/** The first n instructions the replay stack yields (wrapping). */
+std::vector<TraceInstr>
+replayPrefix(const std::string &path, std::size_t n,
+             verify::FaultInjector *faults = nullptr)
+{
+    ChampSimReplayGen gen(path, ChampSimReplayGen::SourceKind::Auto, faults);
+    std::vector<TraceInstr> out;
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(gen.next());
+    return out;
 }
 
 } // namespace
@@ -217,16 +229,12 @@ class TraceCorpusFuzz : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(TraceCorpusFuzz, RandomDamageParsesOrFailsTyped)
 {
-    std::string path = makeValidTrace("corpus");
     Rng rng(GetParam());
 
     for (int round = 0; round < 40; ++round) {
-        // Re-record, then damage: flip bytes anywhere (header included)
-        // and sometimes chop the tail to a hostile length.
-        StreamGen::Params p;
-        StreamGen gen(p);
-        ASSERT_TRUE(saveTrace(path, gen, 200));
-
+        // Re-record, then damage: flip bytes anywhere and sometimes
+        // chop the tail to a hostile length.
+        std::string path = makeValidTrace("corpus");
         std::FILE *f = std::fopen(path.c_str(), "rb+");
         ASSERT_NE(f, nullptr);
         std::fseek(f, 0, SEEK_END);
@@ -246,15 +254,17 @@ TEST_P(TraceCorpusFuzz, RandomDamageParsesOrFailsTyped)
             ASSERT_EQ(0, truncate(path.c_str(), keep));
         }
 
-        auto result = loadTrace(path);
-        if (!result.ok()) {
+        // Two passes, so the wrap-around replay sees the damage too.
+        try {
+            EXPECT_EQ(replayPrefix(path, 400).size(), 400u);
+        } catch (const verify::SimError &e) {
             // Typed error with the file identified — never a crash.
-            EXPECT_EQ(result.error().kind(), verify::ErrorKind::TraceIo);
-            EXPECT_EQ(result.error().path(), path);
-            EXPECT_FALSE(result.error().reason().empty());
+            EXPECT_EQ(e.kind(), verify::ErrorKind::TraceIo);
+            EXPECT_EQ(e.path(), path);
+            EXPECT_FALSE(e.reason().empty());
         }
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceCorpusFuzz,
@@ -263,22 +273,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TraceCorpusFuzz,
 TEST(TraceCorpusFuzz, InjectedBitFlipsStayParseable)
 {
     std::string path = makeValidTrace("bitflip");
-    auto clean = loadTrace(path);
-    ASSERT_TRUE(clean.ok());
+    std::vector<TraceInstr> clean = replayPrefix(path, 200);
 
     verify::FaultConfig fc;
     fc.seed = 99;
     fc.traceBitFlipRate = 1.0;
     verify::FaultInjector inj(fc);
-    auto result = loadTrace(path, &inj);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(inj.stats().traceBitFlips, clean.value().size());
+    std::vector<TraceInstr> flipped = replayPrefix(path, 200, &inj);
+    EXPECT_EQ(inj.stats().traceBitFlips, clean.size());
 
     // A single-bit flip per record must have changed *something*.
     bool differs = false;
-    for (std::size_t i = 0; i < clean.value().size(); ++i) {
-        const TraceInstr &a = clean.value()[i];
-        const TraceInstr &b = result.value()[i];
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        const TraceInstr &a = clean[i];
+        const TraceInstr &b = flipped[i];
         differs |= a.ip != b.ip || a.load0 != b.load0 ||
                    a.load1 != b.load1 || a.store != b.store ||
                    a.isBranch != b.isBranch || a.taken != b.taken ||
@@ -295,11 +303,15 @@ TEST(TraceCorpusFuzz, InjectedTruncationIsATypedError)
     fc.seed = 7;
     fc.traceTruncateRate = 0.2;
     verify::FaultInjector inj(fc);
-    auto result = loadTrace(path, &inj);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.error().kind(), verify::ErrorKind::TraceIo);
-    EXPECT_NE(result.error().reason().find("injected truncation"),
-              std::string::npos);
+    try {
+        replayPrefix(path, 200, &inj);
+        FAIL() << "injected truncation must surface";
+    } catch (const verify::SimError &e) {
+        EXPECT_EQ(e.kind(), verify::ErrorKind::TraceIo);
+        EXPECT_EQ(e.path(), path);
+        EXPECT_NE(e.reason().find("injected truncation"),
+                  std::string::npos);
+    }
     EXPECT_GE(inj.stats().traceTruncations, 1u);
     std::remove(path.c_str());
 }
@@ -307,18 +319,16 @@ TEST(TraceCorpusFuzz, InjectedTruncationIsATypedError)
 TEST(TraceCorpusFuzz, HostilePayloadsRunOnTheMachine)
 {
     // Corrupted-but-parseable records carry arbitrary 64-bit addresses.
-    // The full machine (with Berti learning on the garbage stream) must
-    // still make forward progress and keep its stats algebra intact.
+    // The full machine (with Berti learning on the garbage stream,
+    // replayed past its end) must still make forward progress and keep
+    // its stats algebra intact.
     std::string path = makeValidTrace("hostile", 400);
     verify::FaultConfig fc;
     fc.seed = 1234;
     fc.traceBitFlipRate = 1.0;
     verify::FaultInjector inj(fc);
-    auto result = loadTrace(path, &inj);
-    ASSERT_TRUE(result.ok());
-    std::remove(path.c_str());
+    ChampSimReplayGen gen(path, ChampSimReplayGen::SourceKind::Auto, &inj);
 
-    ScriptedGen gen(result.value());
     MachineConfig cfg = MachineConfig::sunnyCove(1);
     cfg.l1dPrefetcher = makeSpec("berti").l1d;
     cfg.audit.enabled = true;
@@ -327,11 +337,13 @@ TEST(TraceCorpusFuzz, HostilePayloadsRunOnTheMachine)
     m.run(5000);
     RunStats s = m.liveStats(0);
     EXPECT_GE(s.core.instructions, 5000u);
+    EXPECT_GE(inj.stats().traceBitFlips, 5000u);
     EXPECT_EQ(s.l1d.demandAccesses,
               s.l1d.demandHits + s.l1d.demandMisses +
                   s.l1d.demandMshrMerged);
     ASSERT_NE(m.auditor(), nullptr);
     EXPECT_GT(m.auditor()->checksRun(), 0u);
+    std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------

@@ -445,11 +445,13 @@ TEST(SimOptionsKnobs, SwitchesAndIntegersShareOneSpelling)
     sim::SimOptions opt;
     EXPECT_TRUE(opt.applyFlag("--quick"));
     EXPECT_TRUE(opt.applyFlag("--verify"));
-    EXPECT_TRUE(opt.applyFlag("--no-cycle-skip"));
     EXPECT_TRUE(opt.applyFlag("--hybrid-degree=2"));
+    // Cycle-skip is environment-only (BERTI_CYCLE_SKIP): no flag.
+    EXPECT_FALSE(opt.applyFlag("--no-cycle-skip"));
+    EXPECT_FALSE(opt.applyFlag("--cycle-skip"));
     EXPECT_TRUE(opt.benchQuick);
     EXPECT_TRUE(opt.verify);
-    EXPECT_FALSE(opt.cycleSkip);
+    EXPECT_TRUE(opt.cycleSkip);
     EXPECT_EQ(opt.hybridDegree, 2u);
     EXPECT_EQ(sim::parseInteger("n", "0x10", 0), 16u);
 

@@ -36,21 +36,21 @@ using verify::WatchdogConfig;
 
 TEST(SimErrorTest, CarriesStructuredFields)
 {
-    SimError e(ErrorKind::TraceIo, "loadTrace", "truncated record",
-               "/tmp/x.trace", 49, "dump");
+    SimError e(ErrorKind::TraceIo, "ChampSimDecoder", "truncated record",
+               "/tmp/x.champsim", 49, "dump");
     EXPECT_EQ(e.kind(), ErrorKind::TraceIo);
-    EXPECT_EQ(e.component(), "loadTrace");
+    EXPECT_EQ(e.component(), "ChampSimDecoder");
     EXPECT_EQ(e.reason(), "truncated record");
-    EXPECT_EQ(e.path(), "/tmp/x.trace");
+    EXPECT_EQ(e.path(), "/tmp/x.champsim");
     EXPECT_EQ(e.offset(), 49u);
     EXPECT_EQ(e.diagnostic(), "dump");
 
     // what() is self-describing: kind, component, reason, location.
     std::string what = e.what();
     EXPECT_NE(what.find("trace-io"), std::string::npos);
-    EXPECT_NE(what.find("loadTrace"), std::string::npos);
+    EXPECT_NE(what.find("ChampSimDecoder"), std::string::npos);
     EXPECT_NE(what.find("truncated record"), std::string::npos);
-    EXPECT_NE(what.find("/tmp/x.trace"), std::string::npos);
+    EXPECT_NE(what.find("/tmp/x.champsim"), std::string::npos);
     EXPECT_NE(what.find("49"), std::string::npos);
 }
 

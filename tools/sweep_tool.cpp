@@ -10,8 +10,8 @@
  * Usage:
  *   sweep_tool [options]
  *     --workloads=a,b,c     workload names and/or file: trace URIs
- *                           (file:/path/foo.champsim[.xz|.gz] or
- *                           file:/path/foo.trace; default: a small trio)
+ *                           (file:/path/foo.champsim[.xz|.gz];
+ *                           default: a small trio)
  *     --specs=x,y           prefetcher specs (default: none,berti)
  *     --store=DIR           result store directory (enables resume)
  *     --out=DIR             write per-cell resultSnapshot JSON here

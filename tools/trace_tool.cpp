@@ -1,29 +1,20 @@
 /**
  * @file
- * Trace utility CLI: record registered workloads into binary trace
- * files, inspect trace statistics, and replay trace files on the
- * simulated machine. The workflow mirrors how ChampSim traces back the
- * paper's artifact.
- *
- * Usage:
- *   trace_tool record <workload> <count> <file>
- *   trace_tool info <file>
- *   trace_tool run <file> [prefetcher] [instructions]
+ * Trace utility CLI: record workloads into ChampSim trace files,
+ * inspect trace statistics, and simulate a trace file as one
+ * simulate() cell (every SimOptions flag and BERTI_* variable applies).
+ * Usage: see the message main() prints.
  */
 
 #include <iostream>
-#include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "harness/machine.hh"
 #include "harness/table.hh"
 #include "trace/champsim.hh"
 #include "trace/registry.hh"
-#include "trace/trace_io.hh"
 
 namespace
 {
@@ -35,9 +26,15 @@ cmdRecord(const std::string &workload, std::uint64_t count,
           const std::string &path)
 {
     // resolveWorkload: registry names and file: URIs both record, so
-    // the tool doubles as a ChampSim -> native trace converter.
+    // the tool doubles as a ChampSim trace re-encoder.
+    if (compressionForPath(path) != TraceCompression::None ||
+        !isChampSimTracePath(path)) {
+        std::cerr << "error: record writes a raw .champsim file, not '"
+                  << path << "'\n";
+        return 1;
+    }
     auto gen = resolveWorkload(workload).make();
-    auto written = saveTrace(path, *gen, count);
+    auto written = saveChampSim(path, *gen, count);
     if (!written.ok()) {
         std::cerr << "error: " << written.error().what() << "\n";
         return 1;
@@ -48,33 +45,11 @@ cmdRecord(const std::string &workload, std::uint64_t count,
     return 0;
 }
 
-/** Decode a whole ChampSim trace through the streaming stack. */
-std::vector<TraceInstr>
-loadChampSim(const std::string &path)
-{
-    StreamTraceSource src(path);
-    ChampSimDecoder dec(src);
-    std::vector<TraceInstr> instrs;
-    TraceInstr in;
-    while (dec.next(in))
-        instrs.push_back(in);
-    return instrs;
-}
-
 int
 cmdInfo(const std::string &path)
 {
-    std::vector<TraceInstr> instrs;
-    if (isChampSimTracePath(path)) {
-        instrs = loadChampSim(path);  // typed SimError on failure
-    } else {
-        auto loaded = loadTrace(path);
-        if (!loaded.ok()) {
-            std::cerr << "error: " << loaded.error().what() << "\n";
-            return 1;
-        }
-        instrs = std::move(loaded.value());
-    }
+    resolveWorkload("file:" + path);  // typed extension/file errors
+    std::vector<TraceInstr> instrs = loadChampSim(path);
     if (instrs.empty()) {
         std::cerr << "error: " << path << " holds no instructions\n";
         return 1;
@@ -112,24 +87,17 @@ cmdInfo(const std::string &path)
 }
 
 int
-cmdRun(const std::string &path, const std::string &pf,
-       std::uint64_t instructions)
+cmdRun(const sim::SimOptions &opt, const std::string &path,
+       const std::string &pf, std::uint64_t instructions)
 {
-    std::unique_ptr<TraceGenerator> gen;
-    if (path.compare(0, 5, "file:") == 0)
-        gen = resolveWorkload(path).make();  // full URI validation
-    else if (isChampSimTracePath(path))
-        gen = std::make_unique<ChampSimReplayGen>(path);
-    else
-        gen = std::make_unique<FileReplayGen>(path);
-    MachineConfig cfg = MachineConfig::sunnyCove(1);
-    PrefetcherSpec spec = makeSpec(pf);
-    cfg.l1dPrefetcher = spec.l1d;
-    cfg.l2Prefetcher = spec.l2;
-    Machine m(cfg, {gen.get()});
-    m.run(instructions);
-    RunStats s = m.liveStats(0);
-    std::cout << s.summary() << "\n";
+    // The whole trace from its first instruction: no warmup region.
+    SimParams params;
+    params.warmupInstructions = 0;
+    params.measureInstructions = instructions;
+    params.applyOptions(opt);
+    SimResult r =
+        simulate(resolveWorkload("file:" + path), makeSpec(pf, opt), params);
+    std::cout << r.roi.summary() << "\n";
     return 0;
 }
 
@@ -139,14 +107,16 @@ int
 main(int argc, char **argv)
 {
     using namespace berti;
-    std::string cmd = argc > 1 ? argv[1] : "";
     try {
+        const sim::SimOptions opt =
+            sim::SimOptions::fromEnvAndArgs(argc, argv);
+        const std::string cmd = argc > 1 ? argv[1] : "";
         if (cmd == "record" && argc == 5)
             return cmdRecord(argv[2], std::stoull(argv[3]), argv[4]);
         if (cmd == "info" && argc == 3)
             return cmdInfo(argv[2]);
         if (cmd == "run" && (argc == 3 || argc == 4 || argc == 5)) {
-            return cmdRun(argv[2], argc > 3 ? argv[3] : "berti",
+            return cmdRun(opt, argv[2], argc > 3 ? argv[3] : "berti",
                           argc > 4 ? std::stoull(argv[4]) : 200000);
         }
     } catch (const std::exception &e) {
@@ -154,8 +124,9 @@ main(int argc, char **argv)
         return 1;
     }
     std::cerr << "usage:\n"
-                 "  trace_tool record <workload> <count> <file>\n"
-                 "  trace_tool info <file>\n"
-                 "  trace_tool run <file> [prefetcher] [instructions]\n";
+                 "  trace_tool record <workload> <count> <file.champsim>\n"
+                 "  trace_tool info <file.champsim[.xz|.gz]>\n"
+                 "  trace_tool run <file.champsim[.xz|.gz]> [prefetcher] "
+                 "[instructions] [SimOptions flags]\n";
     return 2;
 }
