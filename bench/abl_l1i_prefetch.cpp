@@ -15,19 +15,19 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     auto workloads = suiteWorkloads("cloud");
     SimParams params = defaultParams(opt);
 
     auto with_l1i = [&](const std::string &l1d_spec) {
-        return withL1iPrefetcher(makeSpec(l1d_spec, opt), "next-line-2", [] {
+        return withL1iPrefetcher(makeSpec(l1d_spec), "next-line-2", [] {
             return std::make_unique<NextLinePrefetcher>(2);
         });
     };
     // specs[0] is the baseline: IP-stride with no L1I prefetching.
     const std::vector<PrefetcherSpec> specs = {
-        makeSpec("ip-stride", opt), makeSpec("berti", opt),
+        makeSpec("ip-stride"), makeSpec("berti"),
         with_l1i("ip-stride"), with_l1i("berti")};
     const char *labels[] = {"berti (data only)", "L1I next-line only",
                             "berti + L1I next-line"};

@@ -19,12 +19,34 @@
 #include "harness/parallel.hh"
 #include "harness/supervisor.hh"
 #include "harness/table.hh"
+#include "mem/backend_registry.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
 #include "sim/spec_parse.hh"
+#include "verify/sim_error.hh"
 
 namespace berti::bench
 {
+
+/** The typed error for a command-line argument a bench does not take:
+ *  a typo must fail loudly, not run the bench with its defaults. */
+[[noreturn]] inline void
+rejectArgument(const char *bench, const std::string &arg)
+{
+    throw verify::SimError(verify::ErrorKind::Config, bench,
+                           "unknown argument \"" + arg + "\"");
+}
+
+/** Environment plus SimOptions flags for a bench that takes no other
+ *  argument; anything else is rejected by rejectArgument. */
+inline sim::SimOptions
+parseOptions(int argc, char **argv)
+{
+    sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    if (argc > 1)
+        rejectArgument(argv[0], argv[1]);
+    return opt;
+}
 
 /**
  * When the options name a stats directory (BERTI_STATS_DIR or
@@ -34,9 +56,9 @@ namespace berti::bench
  * suffix so no cell silently overwrites another. Called by
  * runSpecMatrix after the pool joins, so results arrive in input order
  * and the sidecar set is identical for every job count. A non-empty
- * subdir nests the sidecars one level down (fig24 keeps one
- * subdirectory per memory backend so identical spec x workload cells
- * from different backends never collide).
+ * subdir nests the sidecars one level down (fig16, fig17 and fig24
+ * keep one subdirectory per memory backend so identical spec x
+ * workload cells from different backends never collide).
  */
 inline void
 writeStatsSidecars(const sim::SimOptions &opt,
@@ -117,6 +139,17 @@ defaultParams(const sim::SimOptions &opt)
     return p;
 }
 
+/** The options' memory backend (default dram:ddr4) at one DRAM data
+ *  rate — Figures 16-17's sweep. The last mtps= in a spec wins, so any
+ *  backend the options name takes the swept rate. */
+inline std::string
+backendAtRate(const sim::SimOptions &opt, unsigned mtps)
+{
+    const std::string base =
+        opt.memBackend.empty() ? mem::kDefaultBackendSpec : opt.memBackend;
+    return base + ";mtps=" + std::to_string(mtps);
+}
+
 /**
  * Run every (spec, workload) cell through runSupervisedMatrix on the
  * options' pool size (BERTI_JOBS / --jobs, else hardware_concurrency),
@@ -142,23 +175,24 @@ runSpecMatrix(const sim::SimOptions &opt,
     return grid;
 }
 
-/** spec-name -> per-workload results; hybrid specs pick up the options'
- *  selector geometry and canonicalize their recorded names. */
+/** spec-name -> per-workload results (runSpecMatrix over makeSpec of
+ *  each name; sidecarSubdir as there). */
 inline std::map<std::string, std::vector<SimResult>>
 runMatrix(const sim::SimOptions &opt, const std::vector<Workload> &workloads,
           const std::vector<std::string> &spec_names,
-          const SimParams &params)
+          const SimParams &params, const std::string &sidecarSubdir = "")
 {
     std::vector<PrefetcherSpec> specs;
     specs.reserve(spec_names.size());
     for (const auto &name : spec_names)
-        specs.push_back(makeSpec(name, opt));
+        specs.push_back(makeSpec(name));
 
     auto grid = runSpecMatrix(opt, workloads, specs, params,
                               std::to_string(spec_names.size()) +
                                   " specs x " +
                                   std::to_string(workloads.size()) +
-                                  " workloads");
+                                  " workloads",
+                              sidecarSubdir);
     std::map<std::string, std::vector<SimResult>> out;
     for (std::size_t s = 0; s < specs.size(); ++s)
         out.emplace(spec_names[s], std::move(grid[s]));
@@ -247,10 +281,9 @@ trafficBelow(const CacheStats &c)
 }
 
 inline double
-storageKb(const sim::SimOptions &opt, const std::string &spec_name)
+storageKb(const std::string &spec_name)
 {
-    return static_cast<double>(makeSpec(spec_name, opt).storageBits) /
-           8192.0;
+    return static_cast<double>(makeSpec(spec_name).storageBits) / 8192.0;
 }
 
 } // namespace berti::bench

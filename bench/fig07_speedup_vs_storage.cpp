@@ -13,7 +13,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     auto workloads = specGapWorkloads();
     SimParams params = defaultParams(opt);
@@ -38,7 +38,7 @@ main(int argc, char **argv)
     for (const auto &name : specs) {
         double s =
             suiteSpeedup(workloads, m[name], m["ip-stride"], "");
-        t.addRow({name, kind(name), TextTable::num(storageKb(opt, name), 2),
+        t.addRow({name, kind(name), TextTable::num(storageKb(name), 2),
                   TextTable::num(s)});
     }
     t.print(std::cout);

@@ -11,7 +11,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     auto workloads = specGapWorkloads();
     // Real ChampSim traces requested via BERTI_TRACE_WORKLOADS ride

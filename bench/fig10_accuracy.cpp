@@ -11,7 +11,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     auto workloads = specGapWorkloads();
     SimParams params = defaultParams(opt);

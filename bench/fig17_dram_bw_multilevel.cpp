@@ -12,7 +12,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     auto workloads = specGapWorkloads();
     std::cout << "Figure 17: multi-level prefetching under constrained "
@@ -20,11 +20,12 @@ main(int argc, char **argv)
     TextTable t({"configuration", "MTPS", "SPEC17", "GAP", "all"});
     for (unsigned mtps : {6400u, 3200u, 1600u}) {
         SimParams params = defaultParams(opt);
-        params.dramMtps = mtps;
+        params.memBackend = backendAtRate(opt, mtps);
         auto m = runMatrix(opt, workloads,
                            {"ip-stride", "berti", "mlop+bingo",
                             "berti+spp-ppf"},
-                           params);
+                           params,
+                           mem::canonicalBackendSpec(params.memBackend));
         for (const char *name :
              {"berti", "mlop+bingo", "berti+spp-ppf"}) {
             t.addRow(

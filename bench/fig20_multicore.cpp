@@ -14,7 +14,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     const unsigned kMixes = 8;
     const unsigned kCores = 4;
@@ -45,7 +45,7 @@ main(int argc, char **argv)
     // grid[spec][mix] holds the per-core results in input order.
     std::vector<PrefetcherSpec> spec_objs;
     for (const auto &name : specs)
-        spec_objs.push_back(makeSpec(name, opt));
+        spec_objs.push_back(makeSpec(name));
     std::vector<std::vector<std::vector<SampledResult>>> grid(
         specs.size(), std::vector<std::vector<SampledResult>>(mixes.size()));
     forEachIndexParallel(

@@ -12,7 +12,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     const char *subset[] = {"stream-like.1", "lbm-like.2676",
                             "mcf-like.1554", "bwaves-like.1740",

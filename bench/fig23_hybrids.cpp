@@ -18,7 +18,7 @@ main(int argc, char **argv)
     using namespace berti;
     using namespace berti::bench;
 
-    sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    sim::SimOptions opt = parseOptions(argc, argv);
     SimParams params = defaultParams(opt);
 
     const std::vector<std::string> specs = {
@@ -66,7 +66,7 @@ main(int argc, char **argv)
             row.push_back(TextTable::num(
                 suiteSpeedup(extra, mx[name], mx["none"], "")));
         }
-        row.push_back(TextTable::num(storageKb(opt, name)));
+        row.push_back(TextTable::num(storageKb(name)));
         t.addRow(row);
     }
     t.print(std::cout);

@@ -32,8 +32,9 @@ main(int argc, char **argv)
         backends.push_back("dram:" + model);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg.compare(0, 11, "--backends=") == 0)
-            backends = sim::splitTopLevel(arg.substr(11), ',');
+        if (arg.compare(0, 11, "--backends=") != 0)
+            rejectArgument(argv[0], arg);
+        backends = sim::splitTopLevel(arg.substr(11), ',');
     }
 
     const std::vector<std::string> spec_names = {"none", "ip-stride",
@@ -59,7 +60,7 @@ main(int argc, char **argv)
 
         std::vector<PrefetcherSpec> specs;
         for (const auto &name : spec_names)
-            specs.push_back(makeSpec(name, opt));
+            specs.push_back(makeSpec(name));
 
         auto grid = runSpecMatrix(opt, workloads, specs, params,
                                   parsed.canonical, parsed.canonical);

@@ -21,7 +21,9 @@
  * checked-in baseline is a conservative floor, not a measured value.
  */
 
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -189,7 +191,19 @@ main(int argc, char **argv)
         } else if (a.rfind("--baseline=", 0) == 0) {
             baseline_path = a.substr(11);
         } else if (a.rfind("--max-regress=", 0) == 0) {
-            max_regress = std::atof(a.c_str() + 14);
+            // Strict: the whole value must be a finite fraction >= 0,
+            // so a typo cannot silently become a 0% gate.
+            const char *v = a.c_str() + 14;
+            char *end = nullptr;
+            max_regress = std::strtod(v, &end);
+            if (!std::isdigit(static_cast<unsigned char>(*v)) ||
+                *end != '\0' || !std::isfinite(max_regress)) {
+                std::fprintf(stderr,
+                             "perf_simspeed: --max-regress=%s is not a "
+                             "non-negative number\n",
+                             v);
+                return 2;
+            }
         } else {
             std::fprintf(stderr, "perf_simspeed: unknown argument %s\n",
                          a.c_str());

@@ -12,7 +12,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    const sim::SimOptions opt = parseOptions(argc, argv);
 
     auto workloads = specGapWorkloads();
     SimParams params = defaultParams(opt);
@@ -36,7 +36,7 @@ main(int argc, char **argv)
                                               m["ip-stride"], "gap")),
                   TextTable::num(suiteSpeedup(workloads, m[name],
                                               m["ip-stride"], "")),
-                  TextTable::num(storageKb(opt, name), 2)});
+                  TextTable::num(storageKb(name), 2)});
     }
     t.print(std::cout);
     return 0;

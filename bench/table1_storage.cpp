@@ -13,7 +13,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    parseOptions(argc, argv);
 
     BertiConfig cfg;
     std::cout << "Table I: storage overhead of Berti\n\n";
@@ -56,7 +56,7 @@ main(int argc, char **argv)
          {"ip-stride", "bop", "mlop", "ipcp", "berti", "none+spp-ppf",
           "none+bingo", "none+vldp", "none+misb", "mlop+bingo",
           "mlop+spp-ppf", "berti+bingo", "berti+spp-ppf", "ipcp+ipcp"}) {
-        s.addRow({name, TextTable::num(storageKb(opt, name), 2)});
+        s.addRow({name, TextTable::num(storageKb(name), 2)});
     }
     s.print(std::cout);
     return 0;

@@ -13,7 +13,7 @@ main(int argc, char **argv)
 {
     using namespace berti;
     using namespace berti::bench;
-    const sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
+    parseOptions(argc, argv);
 
     MachineConfig m = MachineConfig::sunnyCove(1);
     std::cout << "Table II: simulation parameters of the baseline "
@@ -58,7 +58,7 @@ main(int argc, char **argv)
              {"none+vldp", "L2"},
              {"none+misb", "L2 (temporal)"}}) {
         p.addRow({r.name, r.level,
-                  TextTable::num(storageKb(opt, r.name), 2)});
+                  TextTable::num(storageKb(r.name), 2)});
     }
     p.print(std::cout);
     return 0;

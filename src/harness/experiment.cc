@@ -22,54 +22,17 @@ bitsOf(const PrefetcherFactory &f)
     return f ? f()->storageBits() : 0;
 }
 
-PrefetcherSpec
-makeSpecImpl(const std::string &combo, const sim::SimOptions *opt)
-{
-    PrefetcherSpec spec;
-    std::string l1_name = combo;
-    std::string l2_name;
-    // The level separator of a combo like "mlop+bingo" is the '+' at
-    // paren depth 0, so a '+' inside a hybrid(...) child list would
-    // belong to the spec.
-    auto plus = sim::findTopLevel(combo, '+');
-    if (plus != std::string::npos) {
-        l1_name = combo.substr(0, plus);
-        l2_name = combo.substr(plus + 1);
-    }
-    auto resolve = [opt](const std::string &n) {
-        return opt ? prefetch::make(n, *opt) : prefetch::make(n);
-    };
-    auto canon = [opt](const std::string &n) {
-        if (!prefetch::isHybridSpec(n))
-            return n;
-        return prefetch::canonicalHybridSpec(
-            n, opt ? prefetch::HybridConfig::fromOptions(*opt)
-                   : prefetch::HybridConfig{});
-    };
-    spec.l1d = resolve(l1_name);
-    spec.l2 = resolve(l2_name);
-    spec.name = canon(l1_name) +
-                (l2_name.empty() ? "" : "+" + canon(l2_name));
-    spec.storageBits = bitsOf(spec.l1d) + bitsOf(spec.l2);
-    return spec;
-}
-
 /** The Table II machine configured for one simulation call. */
 MachineConfig
 machineConfigFor(const PrefetcherSpec &spec, const SimParams &params,
                  unsigned cores)
 {
     MachineConfig cfg = MachineConfig::sunnyCove(cores);
-    // Resolve the memory backend ("" = dram:ddr4, the historical
-    // machine), then layer the legacy DRAM-speed knob on top only when
-    // it was actually moved off its default — Figures 16-17 sweep
-    // dramMtps on the default backend exactly as before, while e.g.
-    // "dram:hbm" keeps its preset rate under default params.
+    // The memory backend ("" = dram:ddr4, the historical machine),
+    // DRAM rate included: Figures 16-17 append ";mtps=N" to the spec.
     mem::ParsedBackend backend = mem::parseBackendSpec(params.memBackend);
     cfg.dram = backend.channel;
     cfg.memBackend = backend.sel;
-    if (params.dramMtps != kDefaultDramMtps)
-        cfg.dram.mtps = params.dramMtps;
     cfg.l1dPrefetcher = spec.l1d;
     cfg.l2Prefetcher = spec.l2;
     cfg.l1iPrefetcher = spec.l1i;
@@ -249,13 +212,27 @@ runCell(const std::vector<Workload> &workloads, const PrefetcherSpec &spec,
 PrefetcherSpec
 makeSpec(const std::string &combo)
 {
-    return makeSpecImpl(combo, nullptr);
-}
-
-PrefetcherSpec
-makeSpec(const std::string &combo, const sim::SimOptions &opt)
-{
-    return makeSpecImpl(combo, &opt);
+    PrefetcherSpec spec;
+    std::string l1_name = combo;
+    std::string l2_name;
+    // The level separator of a combo like "mlop+bingo" is the '+' at
+    // paren depth 0, so a '+' inside a hybrid(...) child list would
+    // belong to the spec.
+    auto plus = sim::findTopLevel(combo, '+');
+    if (plus != std::string::npos) {
+        l1_name = combo.substr(0, plus);
+        l2_name = combo.substr(plus + 1);
+    }
+    auto canon = [](const std::string &n) {
+        return prefetch::isHybridSpec(n) ? prefetch::canonicalHybridSpec(n)
+                                         : n;
+    };
+    spec.l1d = prefetch::make(l1_name);
+    spec.l2 = prefetch::make(l2_name);
+    spec.name = canon(l1_name) +
+                (l2_name.empty() ? "" : "+" + canon(l2_name));
+    spec.storageBits = bitsOf(spec.l1d) + bitsOf(spec.l2);
+    return spec;
 }
 
 PrefetcherSpec

@@ -47,20 +47,11 @@ struct PrefetcherSpec
  * '+' at paren depth 0 separates L1D from L2 ("mlop+bingo"), so
  * hybrid(...) composition specs flow through unchanged ("hybrid(
  * berti,cmc;select=ip)+bingo"). Hybrid names are canonicalized into
- * spec.name (prefetch::canonicalName), which is what result-store keys
- * record. An unknown or malformed name throws
+ * spec.name (prefetch::canonicalHybridSpec), which is what result-store
+ * keys record. An unknown or malformed name throws
  * verify::SimError(ErrorKind::Config).
  */
 PrefetcherSpec makeSpec(const std::string &combo);
-
-/**
- * Options-aware spec construction: hybrid specs pick up the
- * BERTI_HYBRID_* selector geometry from opt as their baseline, and the
- * canonical spec.name folds in every effective value that differs from
- * the compiled defaults. Plain names behave exactly as makeSpec(combo).
- */
-PrefetcherSpec makeSpec(const std::string &combo,
-                        const sim::SimOptions &opt);
 
 /** Berti with a custom configuration (sensitivity benches). */
 PrefetcherSpec makeBertiSpec(const BertiConfig &cfg,
@@ -127,9 +118,6 @@ struct SampleGeometry
     }
 };
 
-/** The default per-channel DRAM data rate (the ddr4 preset's). */
-inline constexpr unsigned kDefaultDramMtps = 6400;
-
 /** Simulation lengths. Small by ChampSim standards but the generators
  *  are stationary, so measurements stabilise quickly. */
 struct SimParams
@@ -138,17 +126,9 @@ struct SimParams
     std::uint64_t measureInstructions = 250000;
 
     /**
-     * Legacy DRAM-speed knob (Figures 16-17 sweep it). Applied as a
-     * per-channel mtps override on top of the selected memory backend
-     * only when it differs from kDefaultDramMtps; the backend preset
-     * supplies the rate otherwise. For the default backend this is
-     * exactly the historical behaviour (the ddr4 preset is 6400).
-     */
-    unsigned dramMtps = kDefaultDramMtps;
-
-    /**
      * Memory-backend spec (mem/backend_registry.hh grammar), e.g.
-     * "dram:ddr5" or "dram:hbm;sched=fcfs". Empty = the default
+     * "dram:ddr5" or "dram:hbm;sched=fcfs", and the one place the DRAM
+     * rate is set ("dram:ddr4;mtps=1600"). Empty = the default
      * dram:ddr4 backend (bit-identical to the pre-backend harness).
      * The canonical form is folded into paramsFingerprint() whenever
      * it differs from the default, so result-store keys never collide

@@ -71,8 +71,6 @@ MachineConfig::sunnyCove(unsigned cores)
 void
 MachineConfig::applyOptions(const sim::SimOptions &opt)
 {
-    sampler = obs::SamplerConfig::fromOptions(opt);
-    pfTrace = obs::TraceConfig::fromOptions(opt);
     audit = verify::AuditConfig::fromOptions(opt);
     cycleSkip = opt.cycleSkip;
     if (!opt.memBackend.empty()) {
@@ -124,9 +122,6 @@ Machine::Machine(const MachineConfig &config,
     llc = std::make_unique<Cache>(llc_cfg, &clock);
     llc->setLower(dram.get());
 
-    if (cfg.pfTrace.capacity > 0)
-        ptraces.resize(cfg.cores);
-
     for (unsigned c = 0; c < cfg.cores; ++c) {
         auto node = std::make_unique<CoreNode>();
 
@@ -149,14 +144,6 @@ Machine::Machine(const MachineConfig &config,
             node->l2Cache->setPrefetcher(cfg.l2Prefetcher());
         if (cfg.l1iPrefetcher)
             node->l1iCache->setPrefetcher(cfg.l1iPrefetcher());
-
-        if (cfg.pfTrace.capacity > 0) {
-            ptraces[c] =
-                std::make_unique<obs::PrefetchEventTrace>(cfg.pfTrace);
-            node->l1iCache->setEventTrace(ptraces[c].get());
-            node->l1dCache->setEventTrace(ptraces[c].get());
-            node->l2Cache->setEventTrace(ptraces[c].get());
-        }
 
         node->cpu = std::make_unique<Core>(
             cfg.core, &clock, c, generators[c], node->l1iCache.get(),
@@ -195,10 +182,6 @@ Machine::Machine(const MachineConfig &config,
     runDone.reserve(cfg.cores);
 
     registerAllMetrics();
-    if (cfg.sampler.interval > 0) {
-        sampler = std::make_unique<obs::IntervalSampler>(&metricsReg,
-                                                         cfg.sampler);
-    }
 }
 
 void
@@ -267,8 +250,8 @@ Machine::fastForward(Cycle cycles)
 {
     // An idle tick's only observable effect is ++clock plus one
     // ++stats.cycles per core (watchdog observations are value-stable
-    // and the instruction-triggered sampler cannot fire while nothing
-    // retires), so a block of idle ticks collapses to bulk additions.
+    // while nothing retires), so a block of idle ticks collapses to
+    // bulk additions.
     clock += cycles;
     for (auto &n : nodes)
         n->cpu->stats.cycles += cycles;
@@ -328,10 +311,6 @@ Machine::run(std::uint64_t target_instructions)
                     {}, 0, diagnostic());
             }
         }
-        if (sampler)
-            sampler->maybeSample(nodes[0]->cpu->stats.instructions,
-                                 clock);
-
         // Quiescence cycle-skip: when every component is provably idle
         // until some future cycle, fast-forward to just before the
         // earliest of (component event, auditor interval check,

@@ -18,9 +18,7 @@
 #include "mem/backend_registry.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
-#include "obs/timeseries.hh"
 #include "sim/options.hh"
 #include "sim/stats.hh"
 #include "trace/instr.hh"
@@ -78,12 +76,6 @@ struct MachineConfig
      *  disables). See ARCHITECTURE.md, "Performance". */
     bool cycleSkip = sim::SimOptions::fromEnv().cycleSkip;
 
-    // --------------------------------------------- observability layer
-    /** Interval time-series sampling; off unless BERTI_OBS_INTERVAL. */
-    obs::SamplerConfig sampler = obs::SamplerConfig::fromEnv();
-    /** Prefetch event tracing; off unless BERTI_OBS_PFTRACE. */
-    obs::TraceConfig pfTrace = obs::TraceConfig::fromEnv();
-
     // ------------------------------------------------ hardening layer
     /** Invariant checking; defaults honour BERTI_VERIFY=1 so CI audits
      *  every existing test without modifying it. */
@@ -113,9 +105,9 @@ struct MachineConfig
     static MachineConfig sunnyCove(unsigned cores = 1);
 
     /**
-     * Re-derive every options-driven field (sampler, pfTrace, audit,
-     * cycleSkip, and — when opt.memBackend is set — the memory
-     * backend, resolved through the same mem::parseBackendSpec grammar
+     * Re-derive every options-driven field (audit, cycleSkip, and —
+     * when opt.memBackend is set — the memory backend, resolved
+     * through the same mem::parseBackendSpec grammar
      * machineConfigFor uses) from one already-parsed options value
      * instead of the per-field environment defaults — the hook benches
      * use to thread CLI-overridden SimOptions through to the Machine.
@@ -188,18 +180,6 @@ class Machine
     obs::MetricsSnapshot metricsSnapshot() const
     {
         return metricsReg.snapshot();
-    }
-
-    /** The interval time-series, when cfg.sampler.interval (else null). */
-    const obs::IntervalSeries *intervalSeries() const
-    {
-        return sampler ? &sampler->series() : nullptr;
-    }
-
-    /** Core's prefetch event trace, when cfg.pfTrace (else null). */
-    const obs::PrefetchEventTrace *prefetchTrace(unsigned core_id) const
-    {
-        return ptraces.empty() ? nullptr : ptraces[core_id].get();
     }
 
     Cycle cycle() const { return clock; }
@@ -296,14 +276,12 @@ class Machine
     // Declared before the components so it outlives none of them while
     // they register; it stores raw pointers into them, never owning.
     obs::MetricsRegistry metricsReg;
-    std::vector<std::unique_ptr<obs::PrefetchEventTrace>> ptraces;
     std::unique_ptr<mem::MemBackend> dram;
     std::unique_ptr<Cache> llc;
     std::vector<std::unique_ptr<CoreNode>> nodes;
     std::vector<RunStats> snapshots;
     std::unique_ptr<verify::SimAuditor> audit;
     verify::ProgressWatchdog watchdog;
-    std::unique_ptr<obs::IntervalSampler> sampler;
     std::uint64_t cyclesSkipped = 0;
     // Quiescence-probe backoff: scanning every component each tick is
     // pure overhead while the machine is busy, so failed probes back

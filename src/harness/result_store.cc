@@ -89,7 +89,6 @@ paramsFingerprint(const SimParams &params)
     sim::Fnv64 h;
     h.add(params.warmupInstructions);
     h.add(params.measureInstructions);
-    h.add(static_cast<std::uint64_t>(params.dramMtps));
     // Sampling geometry, canonicalised so equivalent geometries share a
     // key: disabled sampling hashes as all-zero regardless of the
     // (ignored) window fields, an explicit stride equal to the implied

@@ -59,14 +59,14 @@ struct StoreKey
 
 /**
  * Fingerprint of the SimParams fields that affect cell results:
- * warmup/measure lengths, DRAM speed, the canonical sampling geometry
- * (window count, per-window warmup/measure, stride) so sampled and
- * full-run cells always address distinct store entries, and the
- * canonical memory-backend spec (folded only when it differs from the
- * default dram:ddr4, so pre-backend store keys stay stable while
- * distinct backends can never share a cell). Changing any of these
- * invalidated every pre-sampling store key once, by design: old caches
- * recompute rather than risk serving results from different params.
+ * warmup/measure lengths, the canonical sampling geometry (window
+ * count, per-window warmup/measure, stride) so sampled and full-run
+ * cells always address distinct store entries, and the canonical
+ * memory-backend spec, DRAM rate included (folded only when it differs
+ * from the default dram:ddr4, so distinct backends can never share a
+ * cell). Changing the hashed fields invalidates every older store key
+ * once, by design: old caches recompute rather than risk serving
+ * results from different params.
  */
 std::uint64_t paramsFingerprint(const SimParams &params);
 

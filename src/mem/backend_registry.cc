@@ -167,18 +167,17 @@ parseBackendSpec(const std::string &spec_in)
                        "\" is not a scheduler (frfcfs or fcfs)");
             }
         } else if (o.key == "cap") {
-            out.channel.starvationCap = static_cast<unsigned>(
-                sim::parseSpecUnsigned(o.key, o.value, kComponent,
-                                       /*zero_ok=*/true));
+            out.channel.starvationCap = sim::parseSpecUnsigned(
+                o.key, o.value, kComponent, /*zero_ok=*/true);
         } else if (o.key == "channels") {
-            out.sel.channels = static_cast<unsigned>(
-                sim::parseSpecUnsigned(o.key, o.value, kComponent));
+            out.sel.channels =
+                sim::parseSpecUnsigned(o.key, o.value, kComponent);
         } else if (o.key == "mtps") {
-            out.channel.mtps = static_cast<unsigned>(
-                sim::parseSpecUnsigned(o.key, o.value, kComponent));
+            out.channel.mtps =
+                sim::parseSpecUnsigned(o.key, o.value, kComponent);
         } else if (o.key == "banks") {
-            out.channel.banks = static_cast<unsigned>(
-                sim::parseSpecUnsigned(o.key, o.value, kComponent));
+            out.channel.banks =
+                sim::parseSpecUnsigned(o.key, o.value, kComponent);
         } else {
             reject("unknown option \"" + o.key + "\" in spec \"" + spec +
                    "\" (known: sched, cap, channels, mtps, banks)");

@@ -15,9 +15,10 @@
  * (8 line-interleaved channels of a narrow-per-channel, moderate-rate
  * stack — the bandwidth corner). Options: sched=frfcfs|fcfs,
  * cap=N (FR-FCFS starvation cap, 0 = unbounded), channels=N, mtps=N,
- * banks=N. Unknown models, families, option keys or malformed values
- * throw verify::SimError(ErrorKind::Config) naming the offending
- * string.
+ * banks=N. A repeated key takes its last value, so a sweep can append
+ * ";mtps=N" to any spec. Unknown models, families, option keys or
+ * malformed values throw verify::SimError(ErrorKind::Config) naming the
+ * offending string.
  *
  * Canonicalization: canonicalBackendSpec() renders the model name plus
  * only the non-default options in a fixed order, so equivalent spec

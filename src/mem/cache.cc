@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/berti.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 #include "verify/fault_injector.hh"
 #include "verify/sim_error.hh"
@@ -289,10 +288,6 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
         }
         if (!translation->prefetchTranslate(lineToByte(line_addr), paddr)) {
             ++stats.prefetchDroppedTlb;
-            if (ptrace) {
-                ptrace->record(*clock, obs::PfEvent::DropTlb, line_addr,
-                               trainIp);
-            }
             return false;
         }
         req.pLine = lineAddr(paddr);
@@ -302,10 +297,6 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
 
     if (pq.size() >= cfg.pqSize) {
         ++stats.prefetchDroppedFull;
-        if (ptrace) {
-            ptrace->record(*clock, obs::PfEvent::DropFull, line_addr,
-                           trainIp);
-        }
         return false;
     }
     pq.push_back(req);
@@ -319,13 +310,7 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
         (line_addr >> (kPageBits - kLineBits)) !=
             (trainVLine >> (kPageBits - kLineBits))) {
         ++stats.prefetchCrossPage;
-        if (ptrace) {
-            ptrace->record(*clock, obs::PfEvent::CrossPage, line_addr,
-                           trainIp);
-        }
     }
-    if (ptrace)
-        ptrace->record(*clock, obs::PfEvent::Issue, line_addr, trainIp);
     return true;
 }
 
@@ -354,17 +339,13 @@ Cache::fastHit(Addr p_line)
         l->pfUsed = true;
         ++stats.prefetchUseful;
         info.firstHitOnPrefetch = true;
-        if (ptrace)
-            ptrace->record(*clock, obs::PfEvent::Useful, p_line, 0);
     }
     repl->onHit(setIndex(p_line),
                 static_cast<unsigned>((l - lines.data()) % cfg.ways));
     if (cfg.trainOnInstrFetch) {
         trainVLine = cfg.isL1d ? info.vLine : info.pLine;
-        trainIp = info.ip;
         notifyAccess(info);
         trainVLine = kNoAddr;
-        trainIp = 0;
     }
     return true;
 }
@@ -503,21 +484,15 @@ Cache::handleRead(MemRequest &req)
                 info.firstHitOnPrefetch = true;
                 info.prefetchLatency = l->pfLatency;
                 l->pfLatency = 0;  // reset after the training search
-                if (ptrace) {
-                    ptrace->record(*clock, obs::PfEvent::Useful,
-                                   req.pLine, req.ip);
-                }
             }
             if (req.type == AccessType::Load ||
                 req.type == AccessType::Rfo ||
                 (cfg.trainOnInstrFetch &&
                  req.type == AccessType::InstrFetch)) {
                 trainVLine = cfg.isL1d ? info.vLine : info.pLine;
-                trainIp = info.ip;
-                notifyAccess(info);
+                        notifyAccess(info);
                 trainVLine = kNoAddr;
-                trainIp = 0;
-            }
+                    }
         } else {
             // An in-flight prefetch from above found the line here.
             ++stats.dataReads;
@@ -553,10 +528,6 @@ Cache::handleRead(MemRequest &req)
                 ++stats.prefetchLate;
                 e->ip = req.ip;
                 e->vLine = req.vLine;
-                if (ptrace) {
-                    ptrace->record(*clock, obs::PfEvent::Late,
-                                   req.pLine, req.ip);
-                }
             }
             e->hadDemand = true;
             if (req.type == AccessType::Rfo)
@@ -623,10 +594,8 @@ Cache::handleRead(MemRequest &req)
         info.type = req.type;
         info.hit = false;
         trainVLine = cfg.isL1d ? info.vLine : info.pLine;
-        trainIp = info.ip;
         notifyAccess(info);
         trainVLine = kNoAddr;
-        trainIp = 0;
     }
     return true;
 }
@@ -796,9 +765,6 @@ Cache::readDone(const MemRequest &req)
             ++stats.prefetchUseful;  // late but useful
         else
             l.pfLatency = latency;   // kept for hit-time training
-        if (ptrace) {
-            ptrace->record(*clock, obs::PfEvent::Fill, e->pLine, e->ip);
-        }
     }
 
     Prefetcher::FillInfo info;
@@ -817,7 +783,7 @@ Cache::readDone(const MemRequest &req)
 }
 
 // ---------------------------------------------------------------------
-// Checkpointing. Transient per-call scratch (trainVLine/trainIp, the
+// Checkpointing. Transient per-call scratch (trainVLine, the
 // lastEvicted* pair, wakeScratch) is dead between ticks and deliberately
 // not serialized. Freed MSHR entries keep stale field junk at runtime,
 // so only valid entries are written; a resume target is pristine, so

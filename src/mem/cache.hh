@@ -28,7 +28,6 @@ namespace obs
 {
 class Histogram;
 class MetricsRegistry;
-class PrefetchEventTrace;
 } // namespace obs
 
 namespace verify
@@ -103,14 +102,6 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     {
         faults = injector;
     }
-
-    /**
-     * Optional prefetch event trace (null = off, the default). The
-     * trace must outlive the cache; the Machine owns one per traced
-     * level when BERTI_OBS_PFTRACE is set.
-     */
-    void setEventTrace(obs::PrefetchEventTrace *trace) { ptrace = trace; }
-    const obs::PrefetchEventTrace *eventTrace() const { return ptrace; }
 
     /**
      * Register this level's counters, derived gauges (accuracy, MSHR
@@ -290,16 +281,13 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     MemLevel *lower = nullptr;
     TranslationUnit *translation = nullptr;
     verify::FaultInjector *faults = nullptr;
-    obs::PrefetchEventTrace *ptrace = nullptr;
     std::unique_ptr<obs::Histogram> fillLatencyHist;
     std::unique_ptr<Prefetcher> pf;
     std::unique_ptr<ReplPolicy> repl;
 
-    // Triggering access of the prefetcher hook currently running, used
-    // to classify synchronously issued prefetches (cross-page counting
-    // and event-trace attribution).
+    // Triggering line of the prefetcher hook currently running, used
+    // to classify synchronously issued prefetches as cross-page.
     Addr trainVLine = kNoAddr;
-    Addr trainIp = 0;
 
     // Victim info of the most recent fillLine, consumed by readDone to
     // populate the prefetcher's FillInfo.

@@ -87,64 +87,6 @@ toJson(const MetricsSnapshot &snap)
     return os.str();
 }
 
-std::string
-toCsv(const MetricsSnapshot &snap)
-{
-    std::ostringstream os;
-    os << "name,kind,value\n";
-    for (const auto &[name, value] : snap.values()) {
-        os << name << ',' << metricKindName(value.kind) << ','
-           << valueString(value) << '\n';
-    }
-    return os.str();
-}
-
-std::string
-toCsv(const IntervalSeries &series)
-{
-    std::ostringstream os;
-    os << "instructions,cycle";
-    for (const auto &name : series.columns())
-        os << ',' << name;
-    os << '\n';
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        IntervalSeries::Sample s = series.sample(i);
-        os << s.instructions << ',' << s.cycle;
-        for (std::size_t c = 0; c < series.columns().size(); ++c)
-            os << ',' << s.values[c];
-        os << '\n';
-    }
-    return os.str();
-}
-
-std::string
-toJson(const PrefetchEventTrace &trace)
-{
-    // Kinds listed by sorted name so the document is stable.
-    static constexpr PfEvent kSorted[] = {
-        PfEvent::CrossPage, PfEvent::DropFull, PfEvent::DropTlb,
-        PfEvent::Fill,      PfEvent::Issue,    PfEvent::Late,
-        PfEvent::Useful,
-    };
-    std::ostringstream os;
-    os << "{\n  \"schema_version\": " << MetricsSnapshot::kSchemaVersion
-       << ",\n  \"sample_period\": " << trace.samplePeriod()
-       << ",\n  \"totals\": {";
-    for (std::size_t i = 0; i < std::size(kSorted); ++i) {
-        os << (i ? ",\n" : "\n") << "    \"" << pfEventName(kSorted[i])
-           << "\": " << trace.total(kSorted[i]);
-    }
-    os << "\n  },\n  \"events\": [";
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const PfEventRecord &e = trace.event(i);
-        os << (i ? ",\n" : "\n") << "    {\"cycle\": " << e.cycle
-           << ", \"ip\": " << e.ip << ", \"kind\": \""
-           << pfEventName(e.kind) << "\", \"line\": " << e.line << "}";
-    }
-    os << (trace.size() ? "\n  ]\n" : "]\n") << "}\n";
-    return os.str();
-}
-
 // ------------------------------------------------------------ JSON reader
 
 namespace

@@ -1,24 +1,21 @@
 /**
  * @file
- * Stable, machine-diffable exporters for metrics snapshots, interval
- * time series and prefetch event traces. The JSON schema is versioned
- * (MetricsSnapshot::kSchemaVersion), keys are always sorted, and
- * doubles are printed with a fixed round-trippable format, so two runs
- * producing the same statistics produce byte-identical documents — the
- * property the golden-stats harness and the BERTI_JOBS determinism
- * checks rely on.
+ * Stable, machine-diffable exporter for metrics snapshots. The JSON
+ * schema is versioned (MetricsSnapshot::kSchemaVersion), keys are
+ * always sorted, and doubles are printed with a fixed round-trippable
+ * format, so two runs producing the same statistics produce
+ * byte-identical documents — the property the golden-stats harness and
+ * the BERTI_JOBS determinism checks rely on.
  */
 
-#ifndef BERTI_OBS_EXPORT_HH
-#define BERTI_OBS_EXPORT_HH
+#ifndef BERTI_OBSERVABILITY_EXPORT_HH
+#define BERTI_OBSERVABILITY_EXPORT_HH
 
 #include <string>
 #include <vector>
 
 #include "energy/energy_model.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
-#include "obs/timeseries.hh"
 #include "sim/stats.hh"
 
 namespace berti::obs
@@ -33,15 +30,6 @@ std::string formatDouble(double v);
  * sorted. Deterministic for identical snapshots.
  */
 std::string toJson(const MetricsSnapshot &snap);
-
-/** CSV export of a snapshot: "name,kind,value" rows, sorted by name. */
-std::string toCsv(const MetricsSnapshot &snap);
-
-/** CSV export of an interval series: instructions,cycle,<columns...>. */
-std::string toCsv(const IntervalSeries &series);
-
-/** JSON export of an event trace: totals per kind + retained events. */
-std::string toJson(const PrefetchEventTrace &trace);
 
 /**
  * Parse a document produced by toJson(const MetricsSnapshot&). Only
@@ -107,4 +95,4 @@ std::string sanitizeLabel(const std::string &label);
 
 } // namespace berti::obs
 
-#endif // BERTI_OBS_EXPORT_HH
+#endif // BERTI_OBSERVABILITY_EXPORT_HH

@@ -326,27 +326,6 @@ MetricsRegistry::names() const
     return out;
 }
 
-std::vector<std::string>
-MetricsRegistry::counterNames() const
-{
-    std::vector<std::string> out;
-    for (const auto &[name, entry] : entries) {
-        if (entry.kind == MetricKind::Counter)
-            out.push_back(name);
-    }
-    return out;
-}
-
-void
-MetricsRegistry::sampleCounters(std::vector<std::uint64_t> &out) const
-{
-    out.clear();
-    for (const auto &[name, entry] : entries) {
-        if (entry.kind == MetricKind::Counter)
-            out.push_back(*entry.cell);
-    }
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {

@@ -14,8 +14,8 @@
  * mutable state and no locking anywhere in this layer.
  */
 
-#ifndef BERTI_OBS_METRICS_HH
-#define BERTI_OBS_METRICS_HH
+#ifndef BERTI_OBSERVABILITY_METRICS_HH
+#define BERTI_OBSERVABILITY_METRICS_HH
 
 #include <cstdint>
 #include <functional>
@@ -205,14 +205,6 @@ class MetricsRegistry
     /** All registered names, sorted. */
     std::vector<std::string> names() const;
 
-    /** Registered counter names, sorted — the interval sampler's
-     *  column set. */
-    std::vector<std::string> counterNames() const;
-
-    /** Live counter values in counterNames() order, appended to out
-     *  (cleared first). Allocation-free once out has capacity. */
-    void sampleCounters(std::vector<std::uint64_t> &out) const;
-
     MetricsSnapshot snapshot() const;
 
   private:
@@ -232,4 +224,4 @@ class MetricsRegistry
 
 } // namespace berti::obs
 
-#endif // BERTI_OBS_METRICS_HH
+#endif // BERTI_OBSERVABILITY_METRICS_HH

@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "obs/metrics.hh"
-#include "sim/options.hh"
 #include "sim/serialize.hh"
+#include "sim/spec_parse.hh"
 #include "verify/sim_error.hh"
 
 namespace berti::prefetch
@@ -89,6 +89,41 @@ canonicalOpts(const HybridConfig &cfg)
     return out;
 }
 
+/** One `key=value` hybrid option onto cfg; validateConfig checks the
+ *  ranges once every option is in. */
+void
+applyOption(const std::string &spec, const sim::SpecOption &o,
+            HybridConfig &cfg)
+{
+    if (o.key == "select") {
+        if (o.value == "all")
+            cfg.select = HybridSelect::All;
+        else if (o.value == "ip")
+            cfg.select = HybridSelect::Ip;
+        else if (o.value == "duel")
+            cfg.select = HybridSelect::Duel;
+        else
+            failSpec(spec, "select must be all, ip or duel (got \"" +
+                               o.value + "\")");
+        return;
+    }
+    unsigned *field = o.key == "degree"       ? &cfg.degree
+                      : o.key == "credits"    ? &cfg.creditEntries
+                      : o.key == "credit-max" ? &cfg.creditMax
+                      : o.key == "duel-sets"  ? &cfg.duelSets
+                      : o.key == "psel-bits"  ? &cfg.pselBits
+                                              : nullptr;
+    if (!field)
+        failSpec(spec, "unknown option \"" + o.key + "\"");
+    try {
+        *field = sim::parseSpecUnsigned(o.key, o.value, "prefetch",
+                                        /*zero_ok=*/true);
+    } catch (const verify::SimError &) {
+        failSpec(spec, "option " + o.key + "=\"" + o.value +
+                           "\" is not a valid number");
+    }
+}
+
 bool
 plainNameChar(char c)
 {
@@ -98,8 +133,7 @@ plainNameChar(char c)
 /** Recursive-descent parse of spec[pos..]; pos is left one past the
  *  closing ')'. `spec` is the full string, for error context. */
 HybridNode
-parseHybrid(const std::string &spec, std::size_t &pos,
-            const HybridConfig &base, unsigned depth)
+parseHybrid(const std::string &spec, std::size_t &pos, unsigned depth)
 {
     if (depth > kMaxHybridDepth) {
         failSpec(spec, "nesting deeper than " +
@@ -112,14 +146,13 @@ parseHybrid(const std::string &spec, std::size_t &pos,
     pos += 7;
 
     HybridNode node;
-    node.cfg = base;
 
     // Children: name | nested hybrid, comma-separated, >= 2 of them.
     while (true) {
         if (pos >= spec.size())
             failSpec(spec, "unterminated child list (missing ')')");
         if (spec.compare(pos, 7, kPrefix) == 0) {
-            HybridNode sub = parseHybrid(spec, pos, base, depth + 1);
+            HybridNode sub = parseHybrid(spec, pos, depth + 1);
             node.children.push_back(sub.canonical);
         } else {
             std::size_t start = pos;
@@ -150,58 +183,22 @@ parseHybrid(const std::string &spec, std::size_t &pos,
                            std::to_string(node.children.size()));
     }
 
-    // Options: ";key=value"*.
-    while (pos < spec.size() && spec[pos] == ';') {
-        ++pos;
-        std::size_t eq = spec.find('=', pos);
-        std::size_t end = spec.find_first_of(";)", pos);
-        if (eq == std::string::npos || end == std::string::npos ||
-            eq >= end) {
-            failSpec(spec, "expected key=value at offset " +
-                               std::to_string(pos));
+    // Options: ";key=value"* up to the closing ')', in the shared
+    // option grammar; no option value contains a paren.
+    if (pos < spec.size() && spec[pos] == ';') {
+        std::size_t close = spec.find(')', pos);
+        if (close == std::string::npos)
+            failSpec(spec, "missing ')' at offset " + std::to_string(pos));
+        std::vector<sim::SpecOption> opts;
+        try {
+            opts = sim::parseSpecOptions(spec.substr(pos, close - pos),
+                                         "prefetch");
+        } catch (const verify::SimError &e) {
+            failSpec(spec, e.reason());
         }
-        std::string key = spec.substr(pos, eq - pos);
-        std::string value = spec.substr(eq + 1, end - eq - 1);
-        pos = end;
-
-        auto numeric = [&](unsigned max_digits = 9) -> unsigned {
-            if (value.empty() || value.size() > max_digits)
-                failSpec(spec, "option " + key + "=\"" + value +
-                                   "\" is not a valid number");
-            unsigned long v = 0;
-            for (char c : value) {
-                if (c < '0' || c > '9') {
-                    failSpec(spec, "option " + key + "=\"" + value +
-                                       "\" is not a valid number");
-                }
-                v = v * 10 + static_cast<unsigned long>(c - '0');
-            }
-            return static_cast<unsigned>(v);
-        };
-
-        if (key == "select") {
-            if (value == "all")
-                node.cfg.select = HybridSelect::All;
-            else if (value == "ip")
-                node.cfg.select = HybridSelect::Ip;
-            else if (value == "duel")
-                node.cfg.select = HybridSelect::Duel;
-            else
-                failSpec(spec, "select must be all, ip or duel (got \"" +
-                                   value + "\")");
-        } else if (key == "degree") {
-            node.cfg.degree = numeric();
-        } else if (key == "credits") {
-            node.cfg.creditEntries = numeric();
-        } else if (key == "credit-max") {
-            node.cfg.creditMax = numeric();
-        } else if (key == "duel-sets") {
-            node.cfg.duelSets = numeric();
-        } else if (key == "psel-bits") {
-            node.cfg.pselBits = numeric();
-        } else {
-            failSpec(spec, "unknown option \"" + key + "\"");
-        }
+        pos = close;
+        for (const sim::SpecOption &o : opts)
+            applyOption(spec, o, node.cfg);
     }
 
     if (pos >= spec.size() || spec[pos] != ')')
@@ -222,10 +219,10 @@ parseHybrid(const std::string &spec, std::size_t &pos,
 
 /** Whole-string parse: trailing junk after the spec is malformed. */
 HybridNode
-parseWhole(const std::string &spec, const HybridConfig &base)
+parseWhole(const std::string &spec)
 {
     std::size_t pos = 0;
-    HybridNode node = parseHybrid(spec, pos, base, 1);
+    HybridNode node = parseHybrid(spec, pos, 1);
     if (pos != spec.size()) {
         failSpec(spec, "trailing characters after spec at offset " +
                            std::to_string(pos));
@@ -235,18 +232,6 @@ parseWhole(const std::string &spec, const HybridConfig &base)
 
 } // namespace
 
-HybridConfig
-HybridConfig::fromOptions(const sim::SimOptions &opt)
-{
-    HybridConfig cfg;
-    cfg.degree = opt.hybridDegree;
-    cfg.creditEntries = opt.hybridCreditEntries;
-    cfg.creditMax = opt.hybridCreditMax;
-    cfg.duelSets = opt.hybridDuelSets;
-    cfg.pselBits = opt.hybridPselBits;
-    return cfg;
-}
-
 bool
 isHybridSpec(const std::string &name)
 {
@@ -254,27 +239,23 @@ isHybridSpec(const std::string &name)
 }
 
 std::string
-canonicalHybridSpec(const std::string &spec, const HybridConfig &base)
+canonicalHybridSpec(const std::string &spec)
 {
-    return parseWhole(spec, base).canonical;
+    return parseWhole(spec).canonical;
 }
 
 Factory
-makeHybridFactory(const std::string &spec, const HybridConfig &base)
+makeHybridFactory(const std::string &spec)
 {
-    HybridNode node = parseWhole(spec, base);
+    HybridNode node = parseWhole(spec);
 
     // Resolve child factories eagerly so an unknown child fails at
     // spec-resolution time, not on first Machine construction. Nested
-    // canonical specs are self-describing relative to the compiled
-    // defaults, so they rebuild with a default base.
+    // canonical specs are self-describing, so they rebuild as is.
     std::vector<Factory> kids;
     kids.reserve(node.children.size());
-    for (const std::string &child : node.children) {
-        kids.push_back(isHybridSpec(child)
-                           ? makeHybridFactory(child, HybridConfig{})
-                           : make(child));
-    }
+    for (const std::string &child : node.children)
+        kids.push_back(make(child));
 
     std::string canonical = node.canonical;
     HybridConfig cfg = node.cfg;

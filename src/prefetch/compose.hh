@@ -17,6 +17,10 @@
  *     spec     := hybrid | <registered name>
  *     keys     := select (all|ip|duel) | degree | credits | credit-max
  *               | duel-sets | psel-bits
+ * The option tail is the backend specs' `;key=value` list
+ * (sim::parseSpecOptions, last value wins) and numbers go through
+ * sim::parseSpecUnsigned. Selector geometry lives only here:
+ * "hybrid(berti,cmc;degree=2)" is the one way to set it.
  * Malformed input throws verify::SimError(ErrorKind::Config) naming the
  * offending sub-spec; parsing never crashes (fuzzed in test_compose).
  *
@@ -53,11 +57,6 @@
 #include "prefetch/prefetcher.hh"
 #include "prefetch/registry.hh"
 
-namespace berti::sim
-{
-struct SimOptions;
-} // namespace berti::sim
-
 namespace berti::prefetch
 {
 
@@ -79,9 +78,6 @@ struct HybridConfig
     unsigned pselBits = 10;        //!< PSEL width (counter in [0, 2^b))
     /** Issue-attribution map entries (line -> issuing child). */
     unsigned attributionEntries = 1024;
-
-    /** Selector geometry from the BERTI_HYBRID_* SimOptions knobs. */
-    static HybridConfig fromOptions(const sim::SimOptions &opt);
 };
 
 /** Hard ceiling on children per hybrid (and kMaxDepth on nesting). */
@@ -96,15 +92,13 @@ bool isHybridSpec(const std::string &name);
 /**
  * Parse + validate a hybrid spec string against the registry (child
  * names must be resolvable) and return its canonical spelling: child
- * order preserved, options listed in fixed order, and every effective
- * config value that differs from the compiled defaults spelled out —
- * so two specs simulate identically iff their canonical names are
- * equal, and result-store keys can never collide across different
- * BERTI_HYBRID_* geometry. Throws verify::SimError(ErrorKind::Config)
- * naming the malformed sub-spec.
+ * order preserved, options listed in fixed order, and every config
+ * value that differs from the compiled defaults spelled out — so two
+ * specs simulate identically iff their canonical names are equal, and
+ * result-store keys can never collide across selector geometry. Throws
+ * verify::SimError(ErrorKind::Config) naming the malformed sub-spec.
  */
-std::string canonicalHybridSpec(const std::string &spec,
-                                const HybridConfig &base);
+std::string canonicalHybridSpec(const std::string &spec);
 
 /**
  * Build a factory for a hybrid spec. The factory captures the parsed
@@ -112,8 +106,7 @@ std::string canonicalHybridSpec(const std::string &spec,
  * built through the registry). Throws the same typed errors as
  * canonicalHybridSpec on a malformed spec.
  */
-Factory makeHybridFactory(const std::string &spec,
-                          const HybridConfig &base);
+Factory makeHybridFactory(const std::string &spec);
 
 class HybridPrefetcher : public Prefetcher
 {

@@ -107,7 +107,7 @@ known(const std::string &name)
 {
     if (isHybridSpec(name)) {
         try {
-            canonicalHybridSpec(name, HybridConfig{});
+            canonicalHybridSpec(name);
             return true;
         } catch (const verify::SimError &) {
             return false;
@@ -120,7 +120,7 @@ Factory
 make(const std::string &name)
 {
     if (isHybridSpec(name))
-        return makeHybridFactory(name, HybridConfig{});
+        return makeHybridFactory(name);
     if (const Entry *e = find(name))
         return e->factory;
     std::string valid;
@@ -130,22 +130,6 @@ make(const std::string &name)
                            "unknown prefetcher: \"" + name +
                                "\" (valid: " + valid +
                                ", or a hybrid(a,b;select=...) spec)");
-}
-
-Factory
-make(const std::string &name, const sim::SimOptions &opt)
-{
-    if (isHybridSpec(name))
-        return makeHybridFactory(name, HybridConfig::fromOptions(opt));
-    return make(name);
-}
-
-std::string
-canonicalName(const std::string &name, const sim::SimOptions &opt)
-{
-    if (isHybridSpec(name))
-        return canonicalHybridSpec(name, HybridConfig::fromOptions(opt));
-    return name;
 }
 
 Factory

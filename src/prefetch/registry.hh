@@ -22,11 +22,6 @@
 
 #include "prefetch/prefetcher.hh"
 
-namespace berti::sim
-{
-struct SimOptions;
-} // namespace berti::sim
-
 namespace berti::prefetch
 {
 
@@ -69,26 +64,6 @@ bool known(const std::string &name);
  * the valid names.
  */
 Factory make(const std::string &name);
-
-/**
- * Options-aware resolution: the registry is where per-prefetcher
- * tuning from SimOptions is applied. hybrid(...) specs pick up the
- * BERTI_HYBRID_* selector geometry from opt as their config baseline
- * (in-spec options still win); plain names are unaffected. Bench and
- * harness code should prefer this overload so knobs take effect
- * without call-site changes.
- */
-Factory make(const std::string &name, const sim::SimOptions &opt);
-
-/**
- * The name a spec should be recorded under (result-store keys, bench
- * labels): plain names map to themselves; hybrid specs map to their
- * canonical spelling with every effective config value that differs
- * from the compiled defaults folded in, so runs under different
- * BERTI_HYBRID_* geometry can never collide on one key.
- */
-std::string canonicalName(const std::string &name,
-                          const sim::SimOptions &opt);
 
 /**
  * Wrap a factory: every prefetcher the returned factory builds is

@@ -45,10 +45,8 @@ void
 setCount(SimOptions &o, const std::string &name, const std::string &text)
 {
     using T = std::remove_reference_t<decltype(o.*Field)>;
-    std::uint64_t v = parseInteger(name, text, Min);
-    if (v > std::numeric_limits<T>::max())
-        fail(name, text, "in range");
-    o.*Field = static_cast<T>(v);
+    o.*Field = static_cast<T>(
+        parseInteger(name, text, Min, std::numeric_limits<T>::max()));
 }
 
 template <auto Field>
@@ -77,9 +75,9 @@ setTestSeed(SimOptions &o, const std::string &name, const std::string &text)
  * (nullptr = environment only; a trailing '=' takes a value, otherwise
  * the bare flag switches the knob on) and how its text lands in
  * SimOptions. Counts give their minimum: 0 is meaningful for sampling
- * windows/warmup/stride and the hybrid degree, everything else must be
- * positive. An empty count is malformed like any other bad number; an
- * empty switch or text variable keeps its default.
+ * windows/warmup/stride, everything else must be positive. An empty
+ * count is malformed like any other bad number; an empty switch or
+ * text variable keeps its default.
  */
 struct Knob
 {
@@ -102,12 +100,6 @@ constexpr Knob kKnobs[] = {
      setCount<&O::sampleMeasure, 1>, true},
     {"BERTI_SAMPLE_STRIDE", "--sample-stride=",
      setCount<&O::sampleStride, 0>, true},
-    {"BERTI_OBS_INTERVAL", nullptr, setCount<&O::obsInterval, 1>, true},
-    {"BERTI_OBS_RING", nullptr, setCount<&O::obsRing, 1>, true},
-    {"BERTI_OBS_PFTRACE", nullptr, setCount<&O::pfTraceCapacity, 1>,
-     true},
-    {"BERTI_OBS_PFTRACE_PERIOD", nullptr, setCount<&O::pfTracePeriod, 1>,
-     true},
     {"BERTI_STATS_DIR", "--stats-dir=", setText<&O::statsDir>},
     {"BERTI_TRACE_WORKLOADS", "--trace-workloads=",
      setText<&O::traceWorkloads>},
@@ -115,16 +107,6 @@ constexpr Knob kKnobs[] = {
     {"BERTI_VERIFY", "--verify", setSwitch<&O::verify>},
     {"BERTI_VERIFY_INTERVAL", nullptr, setCount<&O::verifyInterval, 1>,
      true},
-    {"BERTI_HYBRID_DEGREE", "--hybrid-degree=",
-     setCount<&O::hybridDegree, 0>, true},
-    {"BERTI_HYBRID_CREDITS", "--hybrid-credits=",
-     setCount<&O::hybridCreditEntries, 1>, true},
-    {"BERTI_HYBRID_CREDIT_MAX", "--hybrid-credit-max=",
-     setCount<&O::hybridCreditMax, 1>, true},
-    {"BERTI_HYBRID_DUEL_SETS", "--hybrid-duel-sets=",
-     setCount<&O::hybridDuelSets, 1>, true},
-    {"BERTI_HYBRID_PSEL_BITS", "--hybrid-psel-bits=",
-     setCount<&O::hybridPselBits, 1>, true},
     {"BERTI_BENCH_QUICK", "--quick", setSwitch<&O::benchQuick>},
     {"BERTI_UPDATE_GOLDENS", nullptr, setSwitch<&O::updateGoldens>},
     {"BERTI_TEST_SEED", nullptr, setTestSeed, true},
@@ -137,7 +119,7 @@ constexpr Knob kKnobs[] = {
 
 std::uint64_t
 parseInteger(const std::string &name, const std::string &text,
-             std::uint64_t min)
+             std::uint64_t min, std::uint64_t max)
 {
     const bool hex = text.size() > 2 && text[0] == '0' &&
                      (text[1] == 'x' || text[1] == 'X');
@@ -153,8 +135,13 @@ parseInteger(const std::string &name, const std::string &text,
         v = std::strtoull(text.c_str() + digits_at, nullptr, hex ? 16 : 10);
         ok = errno != ERANGE;
     }
-    if (!ok || v < min)
-        fail(name, text, "an integer >= " + std::to_string(min));
+    if (!ok || v < min || v > max) {
+        fail(name, text,
+             max == std::numeric_limits<std::uint64_t>::max()
+                 ? "an integer >= " + std::to_string(min)
+                 : "an integer in [" + std::to_string(min) + ", " +
+                       std::to_string(max) + "]");
+    }
     return v;
 }
 

@@ -12,16 +12,15 @@
  * command-line overrides on top for the bench binaries.
  *
  * Consumers that need subsystem config structs derive them from an
- * options value: obs::SamplerConfig::fromOptions(opt),
- * obs::TraceConfig::fromOptions(opt), verify::AuditConfig::fromOptions
- * (each declared next to its struct so this header stays dependency-
- * free).
+ * options value, e.g. verify::AuditConfig::fromOptions (declared next
+ * to its struct so this header stays dependency-free).
  */
 
 #ifndef BERTI_SIM_OPTIONS_HH
 #define BERTI_SIM_OPTIONS_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "sim/types.hh"
@@ -64,16 +63,6 @@ struct SimOptions
     std::uint64_t sampleStride = 0;
 
     // ------------------------------------------------- observability
-    /** Interval time-series: instructions/sample (BERTI_OBS_INTERVAL);
-     *  0 disables sampling. */
-    std::uint64_t obsInterval = 0;
-    /** Interval time-series ring capacity (BERTI_OBS_RING). */
-    std::size_t obsRing = 1024;
-    /** Prefetch event trace ring capacity (BERTI_OBS_PFTRACE);
-     *  0 disables tracing. */
-    std::size_t pfTraceCapacity = 0;
-    /** Record every Nth prefetch event (BERTI_OBS_PFTRACE_PERIOD). */
-    std::uint64_t pfTracePeriod = 1;
     /** Bench stats sidecar directory (BERTI_STATS_DIR); empty = off. */
     std::string statsDir;
 
@@ -92,25 +81,6 @@ struct SimOptions
     bool verify = false;
     /** Cycles between full invariant checks (BERTI_VERIFY_INTERVAL). */
     Cycle verifyInterval = 4096;
-
-    // --------------------------------------- hybrid prefetcher geometry
-    /**
-     * Selector geometry for hybrid(...) prefetcher specs (see
-     * prefetch/compose.hh). These reshape simulated behaviour, so any
-     * value differing from the defaults is folded into the canonical
-     * spec name — result-store keys can never collide across geometry.
-     */
-    /** Per-hook-call forward cap (BERTI_HYBRID_DEGREE); 0 = the
-     *  greediest-child governor. */
-    unsigned hybridDegree = 0;
-    /** Per-IP credit table rows (BERTI_HYBRID_CREDITS). */
-    unsigned hybridCreditEntries = 256;
-    /** Saturating credit ceiling (BERTI_HYBRID_CREDIT_MAX). */
-    unsigned hybridCreditMax = 15;
-    /** Set-dueling leader buckets per child (BERTI_HYBRID_DUEL_SETS). */
-    unsigned hybridDuelSets = 64;
-    /** PSEL counter width in bits (BERTI_HYBRID_PSEL_BITS). */
-    unsigned hybridPselBits = 10;
 
     // ----------------------------------------------- memory backend
     /**
@@ -163,10 +133,8 @@ struct SimOptions
      * parsed exactly like the matching environment variable.
      * Recognised: --jobs=N, --quick, --stats-dir=DIR,
      * --trace-workloads=LIST, --mem-backend=SPEC, --verify,
-     * --sample-windows=N, --sample-warmup=N,
-     * --sample-measure=N, --sample-stride=N, --hybrid-degree=N,
-     * --hybrid-credits=N, --hybrid-credit-max=N, --hybrid-duel-sets=N,
-     * --hybrid-psel-bits=N. @return false when the flag is not a
+     * --sample-windows=N, --sample-warmup=N, --sample-measure=N,
+     * --sample-stride=N. @return false when the flag is not a
      * SimOptions flag (caller keeps it); malformed values throw
      * verify::SimError(ErrorKind::Config).
      */
@@ -174,14 +142,15 @@ struct SimOptions
 };
 
 /**
- * The one integer parser behind every numeric knob and flag: the whole
- * text must be a decimal (or 0x-prefixed hex) integer >= min that fits
- * 64 bits — no sign, no whitespace, no trailing junk. Anything else
- * throws verify::SimError(ErrorKind::Config) naming `name` (the
- * variable or flag) and the text.
+ * The one integer parser behind every numeric knob, flag and spec
+ * option: the whole text must be a decimal (or 0x-prefixed hex) integer
+ * in [min, max] — no sign, no whitespace, no trailing junk. Anything
+ * else throws verify::SimError(ErrorKind::Config) naming `name` (the
+ * variable, flag or option) and the text.
  */
-std::uint64_t parseInteger(const std::string &name, const std::string &text,
-                           std::uint64_t min);
+std::uint64_t parseInteger(
+    const std::string &name, const std::string &text, std::uint64_t min,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 } // namespace berti::sim
 

@@ -1,7 +1,8 @@
 #include "sim/spec_parse.hh"
 
-#include <cstdlib>
+#include <limits>
 
+#include "sim/options.hh"
 #include "verify/sim_error.hh"
 
 namespace berti::sim
@@ -63,22 +64,18 @@ parseSpecOptions(const std::string &text, const std::string &component)
     return out;
 }
 
-std::uint64_t
+unsigned
 parseSpecUnsigned(const std::string &key, const std::string &value,
                   const std::string &component, bool zero_ok)
 {
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    bool ok = !value.empty() && end && *end == '\0';
-    if (ok && !zero_ok && v == 0)
-        ok = false;
-    if (!ok) {
-        throw verify::SimError(
-            verify::ErrorKind::Config, component,
-            key + "=\"" + value + "\" is not a " +
-                (zero_ok ? "non-negative" : "positive") + " integer");
+    try {
+        return static_cast<unsigned>(
+            parseInteger(key, value, zero_ok ? 0 : 1,
+                         std::numeric_limits<unsigned>::max()));
+    } catch (const verify::SimError &e) {
+        throw verify::SimError(verify::ErrorKind::Config, component,
+                               e.reason());
     }
-    return static_cast<std::uint64_t>(v);
 }
 
 } // namespace berti::sim

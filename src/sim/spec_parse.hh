@@ -5,9 +5,10 @@
  * "hybrid(berti,cmc;select=ip)"), workload lists with `file:` URIs,
  * memory-backend specs ("dram:ddr5;sched=fcfs") — splits at paren
  * depth 0 so nested argument lists stay intact. This header is that
- * one splitter, plus the `;key=value` option-list parser the backend
- * and hybrid grammars share, so makeSpec-style resolution and
- * MachineConfig::applyOptions can never drift apart.
+ * one splitter, plus the `;key=value` option-list parser and the
+ * option integer parser that the backend ("dram:ddr4;mtps=3200") and
+ * hybrid ("hybrid(berti,cmc;degree=2)") grammars share, so the two
+ * spell options and numbers the same way.
  */
 
 #ifndef BERTI_SIM_SPEC_PARSE_HH
@@ -53,15 +54,15 @@ std::vector<SpecOption> parseSpecOptions(const std::string &text,
                                          const std::string &component);
 
 /**
- * Strict non-negative integer parse for a spec option value. Throws
- * verify::SimError(ErrorKind::Config) naming `component` and `key`
- * when `value` is not a plain decimal integer (or is zero while
- * `zero_ok` is false).
+ * A spec option's integer value, through sim::parseInteger: a plain
+ * decimal (or 0x hex) integer that fits 32 bits, and not zero unless
+ * `zero_ok`. Anything else — a sign, whitespace, junk, overflow —
+ * throws verify::SimError(ErrorKind::Config) naming `component`, `key`
+ * and the value.
  */
-std::uint64_t parseSpecUnsigned(const std::string &key,
-                                const std::string &value,
-                                const std::string &component,
-                                bool zero_ok = false);
+unsigned parseSpecUnsigned(const std::string &key, const std::string &value,
+                           const std::string &component,
+                           bool zero_ok = false);
 
 } // namespace berti::sim
 

@@ -4,13 +4,13 @@
  * canonicalization (including a fuzz pass — malformed input must throw
  * the typed Config error, never crash), selection-policy unit tests
  * with scripted children (per-IP credits, set-dueling, the budget
- * governor), BERTI_HYBRID_* options plumbing, parallel-runner
- * determinism across job counts, and result-store key separation.
+ * governor), in-spec selector geometry reaching the built prefetcher,
+ * parallel-runner determinism across job counts, and result-store key
+ * separation.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "prefetch/compose.hh"
 #include "prefetch/registry.hh"
 #include "obs/metrics.hh"
-#include "sim/options.hh"
 #include "trace/registry.hh"
 #include "verify/sim_error.hh"
 #include "test_util.hh"
@@ -33,15 +32,14 @@ using prefetch::HybridConfig;
 using prefetch::HybridPrefetcher;
 using prefetch::HybridSelect;
 using test::RecordingPort;
-using test::ScopedEnv;
 
 namespace
 {
 
 std::string
-canon(const std::string &spec, const HybridConfig &base = HybridConfig{})
+canon(const std::string &spec)
 {
-    return prefetch::canonicalHybridSpec(spec, base);
+    return prefetch::canonicalHybridSpec(spec);
 }
 
 void
@@ -199,19 +197,18 @@ TEST(HybridSpec, ChildOrderIsPreserved)
     EXPECT_NE(canon("hybrid(berti,cmc)"), canon("hybrid(cmc,berti)"));
 }
 
-TEST(HybridSpec, BaseConfigFoldsIntoCanonicalName)
+TEST(HybridSpec, EveryGeometryOptionIsSpelledOut)
 {
-    HybridConfig base;
-    base.degree = 2;
-    EXPECT_EQ(canon("hybrid(berti,cmc)", base),
-              "hybrid(berti,cmc;degree=2)");
-    // In-spec options win over the base.
-    EXPECT_EQ(canon("hybrid(berti,cmc;degree=3)", base),
-              "hybrid(berti,cmc;degree=3)");
-    // The canonical name is self-describing: re-canonicalizing it with
-    // a default base is the identity.
-    EXPECT_EQ(canon(canon("hybrid(berti,cmc)", base)),
-              "hybrid(berti,cmc;degree=2)");
+    const std::string c = canon(
+        "hybrid(berti,cmc;psel-bits=8;duel-sets=32;credit-max=31;"
+        "credits=128;degree=3)");
+    EXPECT_EQ(c, "hybrid(berti,cmc;degree=3;credits=128;credit-max=31;"
+                 "duel-sets=32;psel-bits=8)");
+    // The canonical name is self-describing: re-canonicalizing it is
+    // the identity. A repeated key takes its last value.
+    EXPECT_EQ(canon(c), c);
+    EXPECT_EQ(canon("hybrid(berti,cmc;degree=2;degree=0)"),
+              "hybrid(berti,cmc)");
 }
 
 TEST(HybridSpec, MalformedSpecsThrowTypedConfigErrors)
@@ -605,67 +602,22 @@ TEST(HybridPlumbing, CheckpointStateRoundTripsBitIdentical)
 }
 
 // ===================================================================
-// Options plumbing (no longer passthrough fiction)
+// Geometry plumbing
 // ===================================================================
-
-TEST(HybridOptions, EnvKnobsParseIntoConfig)
-{
-    ScopedEnv degree("BERTI_HYBRID_DEGREE", "3");
-    ScopedEnv credits("BERTI_HYBRID_CREDITS", "128");
-    ScopedEnv cmax("BERTI_HYBRID_CREDIT_MAX", "31");
-    ScopedEnv duel("BERTI_HYBRID_DUEL_SETS", "32");
-    ScopedEnv psel("BERTI_HYBRID_PSEL_BITS", "8");
-
-    sim::SimOptions opt = sim::SimOptions::fromEnv();
-    EXPECT_EQ(opt.hybridDegree, 3u);
-    EXPECT_EQ(opt.hybridCreditEntries, 128u);
-    EXPECT_EQ(opt.hybridCreditMax, 31u);
-    EXPECT_EQ(opt.hybridDuelSets, 32u);
-    EXPECT_EQ(opt.hybridPselBits, 8u);
-
-    HybridConfig cfg = HybridConfig::fromOptions(opt);
-    EXPECT_EQ(cfg.degree, 3u);
-    EXPECT_EQ(cfg.creditEntries, 128u);
-    EXPECT_EQ(cfg.creditMax, 31u);
-    EXPECT_EQ(cfg.duelSets, 32u);
-    EXPECT_EQ(cfg.pselBits, 8u);
-}
-
-TEST(HybridOptions, FlagsOverrideAndMalformedValuesThrow)
-{
-    sim::SimOptions opt;
-    EXPECT_TRUE(opt.applyFlag("--hybrid-degree=5"));
-    EXPECT_EQ(opt.hybridDegree, 5u);
-    EXPECT_TRUE(opt.applyFlag("--hybrid-duel-sets=16"));
-    EXPECT_EQ(opt.hybridDuelSets, 16u);
-    EXPECT_FALSE(opt.applyFlag("--not-a-hybrid-flag"));
-    EXPECT_THROW((void)opt.applyFlag("--hybrid-credits=abc"),
-                 verify::SimError);
-    EXPECT_THROW((void)opt.applyFlag("--hybrid-credits=0"),
-                 verify::SimError);
-}
 
 TEST(HybridOptions, GeometryReachesTheBuiltPrefetcher)
 {
-    // The knob must actually reshape the machine, through the same
-    // Registry::make(name, opt) path the harness uses — the regression
-    // this satellite pins: options-aware make() is no longer a
-    // passthrough.
-    sim::SimOptions opt;
-    opt.hybridDegree = 1;
-    auto pf = prefetch::make("hybrid(berti,cmc)", opt)();
+    // In-spec geometry must actually reshape the machine, through the
+    // same registry path the harness uses.
+    auto pf = prefetch::make("hybrid(berti,cmc;degree=1)")();
     auto *h = dynamic_cast<HybridPrefetcher *>(pf.get());
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->config().degree, 1u);
     EXPECT_EQ(h->name(), "hybrid(berti,cmc;degree=1)");
 
-    EXPECT_EQ(prefetch::canonicalName("hybrid(berti,cmc)", opt),
-              "hybrid(berti,cmc;degree=1)");
-    EXPECT_EQ(prefetch::canonicalName("berti", opt), "berti");
-
     // makeSpec records the canonical name too.
-    PrefetcherSpec spec = makeSpec("hybrid(berti,cmc)", opt);
-    EXPECT_EQ(spec.name, "hybrid(berti,cmc;degree=1)");
+    EXPECT_EQ(makeSpec("hybrid(berti,cmc;select=all;degree=1)").name,
+              "hybrid(berti,cmc;degree=1)");
 }
 
 // ===================================================================
@@ -692,27 +644,18 @@ TEST(HybridStoreKeys, ChildOrderAndGeometrySeparateKeys)
     SimParams p;
     const std::string w = "mcf-like.472";
 
-    auto key = [&](const std::string &spec_name,
-                   const sim::SimOptions &opt) {
-        return harness::makeStoreKey(
-                   w, prefetch::canonicalName(spec_name, opt), p)
+    auto key = [&](const std::string &spec_name) {
+        return harness::makeStoreKey(w, makeSpec(spec_name).name, p)
             .hash();
     };
 
-    sim::SimOptions defaults;
-    sim::SimOptions degree2;
-    degree2.hybridDegree = 2;
-
     // hybrid(a,b) vs hybrid(b,a): different cells.
-    EXPECT_NE(key("hybrid(berti,cmc)", defaults),
-              key("hybrid(cmc,berti)", defaults));
-    // Same spec under different BERTI_HYBRID_* geometry: different
-    // cells — the canonical name folds the knob in.
-    EXPECT_NE(key("hybrid(berti,cmc)", defaults),
-              key("hybrid(berti,cmc)", degree2));
+    EXPECT_NE(key("hybrid(berti,cmc)"), key("hybrid(cmc,berti)"));
+    // Same children under different geometry: different cells.
+    EXPECT_NE(key("hybrid(berti,cmc)"), key("hybrid(berti,cmc;degree=2)"));
     // Spelled-out defaults collapse onto the default cell.
-    EXPECT_EQ(key("hybrid(berti,cmc;select=all)", defaults),
-              key("hybrid(berti,cmc)", defaults));
+    EXPECT_EQ(key("hybrid(berti,cmc;select=all;degree=0)"),
+              key("hybrid(berti,cmc)"));
 }
 
 } // namespace berti

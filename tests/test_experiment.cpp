@@ -181,8 +181,7 @@ TEST(Simulate, DramBandwidthKnobChangesPerformance)
     SimParams fast, slow;
     fast.warmupInstructions = slow.warmupInstructions = 10000;
     fast.measureInstructions = slow.measureInstructions = 50000;
-    fast.dramMtps = 6400;
-    slow.dramMtps = 1600;
+    slow.memBackend = "dram:ddr4;mtps=1600";
     const Workload &w = findWorkload("stream-like.1");
     SimResult f = simulate(w, makeSpec("none"), fast);
     SimResult s = simulate(w, makeSpec("none"), slow);

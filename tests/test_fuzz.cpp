@@ -16,7 +16,6 @@
 #include "mem/cache.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "obs/timeseries.hh"
 #include "oracle/microtrace.hh"
 #include "sim/rng.hh"
 #include "trace/champsim.hh"
@@ -437,37 +436,6 @@ TEST_P(ObsFuzz, HistogramMergeIsAssociativeAndLossless)
         EXPECT_GE(q, whole.min());
         EXPECT_LE(q, whole.max());
         prev = q;
-    }
-}
-
-TEST_P(ObsFuzz, IntervalRingRetainsExactlyTheNewestSamples)
-{
-    Rng rng(GetParam() ^ 0xABCDEF);
-    std::size_t cap = 1 + rng.nextBounded(32);
-    std::size_t cols = 1 + rng.nextBounded(5);
-    obs::IntervalSeries ring(
-        std::vector<std::string>(cols, "c"), cap);
-
-    std::vector<std::vector<std::uint64_t>> history;
-    std::uint64_t appends = rng.nextBounded(4 * cap + 1);
-    for (std::uint64_t i = 0; i < appends; ++i) {
-        std::vector<std::uint64_t> row(cols);
-        for (auto &v : row)
-            v = rng.next();
-        ring.append(i, 2 * i, row);
-        history.push_back(std::move(row));
-    }
-
-    std::size_t expect_held = std::min<std::size_t>(cap, history.size());
-    ASSERT_EQ(ring.size(), expect_held);
-    EXPECT_EQ(ring.dropped(), history.size() - expect_held);
-    EXPECT_EQ(ring.totalAppends(), history.size());
-    for (std::size_t i = 0; i < expect_held; ++i) {
-        std::size_t src = history.size() - expect_held + i;
-        obs::IntervalSeries::Sample s = ring.sample(i);
-        EXPECT_EQ(s.instructions, src);
-        for (std::size_t c = 0; c < cols; ++c)
-            EXPECT_EQ(s.values[c], history[src][c]) << i << "," << c;
     }
 }
 

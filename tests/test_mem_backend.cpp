@@ -133,6 +133,10 @@ TEST(BackendSpec, OptionsOverrideAndCanonicalizeInFixedOrder)
     EXPECT_EQ(p.canonical,
               "dram:ddr4;sched=fcfs;cap=4;channels=2;mtps=3200;banks=8");
     EXPECT_EQ(mem::canonicalBackendSpec(p.canonical), p.canonical);
+    // A repeated key takes its last value: Figures 16-17 append their
+    // swept ";mtps=N" to whatever backend the options name.
+    EXPECT_EQ(parseBackendSpec("dram:hbm;mtps=9600;mtps=6400").channel.mtps,
+              6400u);
 }
 
 TEST(BackendSpec, MalformedSpecsThrowNamingTheOffendingString)
@@ -153,6 +157,17 @@ TEST(BackendSpec, MalformedSpecsThrowNamingTheOffendingString)
                       "channels", "zero channels");
     expectConfigError([] { parseBackendSpec("dram:ddr4;sched"); },
                       "sched", "clause without =");
+    // Spec integers go through the one integer parser: 32 bits, no
+    // sign, no whitespace.
+    expectConfigError(
+        [] { parseBackendSpec("dram:ddr4;channels=4294967297"); },
+        "4294967297", "channels over 32 bits");
+    expectConfigError([] { parseBackendSpec("dram:ddr4;channels=-1"); },
+                      "-1", "negative channels");
+    expectConfigError([] { parseBackendSpec("dram:ddr4;banks=+16"); },
+                      "+16", "signed banks");
+    expectConfigError([] { parseBackendSpec("dram:ddr4;mtps= 3200"); },
+                      " 3200", "padded mtps");
 }
 
 TEST(BackendSpec, KnownModelsAreRegistered)

@@ -1,22 +1,18 @@
 /**
  * @file
  * Unit tests for the observability layer: histograms, the metrics
- * registry, snapshots, JSON/CSV export and round-trip, the interval
- * time-series, the prefetch event trace, and the Machine-level wiring
- * (registered names, sampler, stat reset/reuse determinism).
+ * registry, snapshots, JSON export and round-trip, and the
+ * Machine-level wiring (registered names, stat reset/reuse
+ * determinism).
  */
 
-#include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "obs/timeseries.hh"
 #include "trace/registry.hh"
 #include "verify/sim_error.hh"
 #include "test_util.hh"
@@ -26,15 +22,9 @@ namespace berti
 namespace
 {
 
-using test::ScopedEnv;
-
 using obs::Histogram;
-using obs::IntervalSampler;
-using obs::IntervalSeries;
 using obs::MetricsRegistry;
 using obs::MetricsSnapshot;
-using obs::PfEvent;
-using obs::PrefetchEventTrace;
 
 // ------------------------------------------------------------- Histogram
 
@@ -200,24 +190,6 @@ TEST(MetricsRegistry, HistogramFlattensIntoSnapshot)
     EXPECT_TRUE(snap.contains("lat.p99"));
 }
 
-TEST(MetricsRegistry, CounterNamesSortedAndSampled)
-{
-    std::uint64_t a = 1, b = 2;
-    MetricsRegistry reg;
-    reg.counter("zz", &b);
-    reg.counter("aa", &a);
-    reg.gauge("mm", [] { return 0.0; });  // not a sampler column
-    std::vector<std::string> names = reg.counterNames();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "aa");
-    EXPECT_EQ(names[1], "zz");
-    std::vector<std::uint64_t> row;
-    reg.sampleCounters(row);
-    ASSERT_EQ(row.size(), 2u);
-    EXPECT_EQ(row[0], 1u);
-    EXPECT_EQ(row[1], 2u);
-}
-
 TEST(MetricsRegistry, RejectsDegenerateRegistrations)
 {
     std::uint64_t cell = 0;
@@ -336,17 +308,6 @@ TEST(Export, WriteFileRoundTripsAndCreatesParents)
     std::filesystem::remove_all(dir);
 }
 
-TEST(Export, CsvHasHeaderAndOneRowPerMetric)
-{
-    MetricsSnapshot snap;
-    snap.setCounter("a", 1);
-    snap.setGauge("b", 2.0);
-    std::string csv = obs::toCsv(snap);
-    EXPECT_EQ(csv.find("name,kind,value\n"), 0u);
-    EXPECT_NE(csv.find("a,counter,1"), std::string::npos);
-    EXPECT_NE(csv.find("b,gauge,2"), std::string::npos);
-}
-
 TEST(Export, DiffReportsChangedMissingAndExtra)
 {
     MetricsSnapshot expected, actual;
@@ -363,172 +324,6 @@ TEST(Export, DiffReportsChangedMissingAndExtra)
     EXPECT_NE(report.find("only_expected"), std::string::npos);
     EXPECT_NE(report.find("only_actual"), std::string::npos);
     EXPECT_EQ(report.find("same"), std::string::npos);
-}
-
-// ------------------------------------------------------------ TimeSeries
-
-TEST(IntervalSeries, AppendAndReadBack)
-{
-    IntervalSeries s({"a", "b"}, 4);
-    s.append(100, 200, {1, 2});
-    s.append(200, 400, {3, 4});
-    ASSERT_EQ(s.size(), 2u);
-    EXPECT_EQ(s.sample(0).instructions, 100u);
-    EXPECT_EQ(s.sample(0).values[1], 2u);
-    EXPECT_EQ(s.sample(1).cycle, 400u);
-    EXPECT_EQ(s.sample(1).values[0], 3u);
-}
-
-TEST(IntervalSeries, RingWrapKeepsNewestSamples)
-{
-    IntervalSeries s({"v"}, 3);
-    for (std::uint64_t i = 1; i <= 10; ++i)
-        s.append(i, i * 10, {i * 100});
-    EXPECT_EQ(s.size(), 3u);
-    EXPECT_EQ(s.dropped(), 7u);
-    EXPECT_EQ(s.totalAppends(), 10u);
-    EXPECT_EQ(s.sample(0).instructions, 8u);   // oldest retained
-    EXPECT_EQ(s.sample(2).instructions, 10u);  // newest
-    EXPECT_EQ(s.sample(2).values[0], 1000u);
-}
-
-TEST(IntervalSeries, WidthMismatchThrows)
-{
-    IntervalSeries s({"a", "b"}, 2);
-    EXPECT_THROW(s.append(1, 1, {1}), verify::SimError);
-}
-
-TEST(IntervalSeries, CsvExportHasColumns)
-{
-    IntervalSeries s({"x"}, 2);
-    s.append(5, 6, {7});
-    std::string csv = obs::toCsv(s);
-    EXPECT_EQ(csv.find("instructions,cycle,x\n"), 0u);
-    EXPECT_NE(csv.find("5,6,7"), std::string::npos);
-}
-
-TEST(IntervalSampler, SamplesAtBoundaries)
-{
-    std::uint64_t cell = 0;
-    MetricsRegistry reg;
-    reg.counter("c", &cell);
-    obs::SamplerConfig cfg;
-    cfg.interval = 100;
-    cfg.capacity = 8;
-    IntervalSampler sampler(&reg, cfg);
-    cell = 1;
-    sampler.maybeSample(50, 10);    // below first boundary: no sample
-    EXPECT_EQ(sampler.series().size(), 0u);
-    cell = 2;
-    sampler.maybeSample(100, 20);   // crosses 100
-    cell = 3;
-    sampler.maybeSample(150, 30);   // still before 200
-    cell = 4;
-    sampler.maybeSample(250, 40);   // crosses 200 (and 300 is next)
-    ASSERT_EQ(sampler.series().size(), 2u);
-    EXPECT_EQ(sampler.series().sample(0).values[0], 2u);
-    EXPECT_EQ(sampler.series().sample(1).values[0], 4u);
-}
-
-TEST(IntervalSeries, DegenerateConstructionAndIndexThrow)
-{
-    EXPECT_THROW(IntervalSeries({"a"}, 0), verify::SimError);
-    IntervalSeries s({"a"}, 2);
-    EXPECT_THROW(s.sample(0), verify::SimError);
-    EXPECT_THROW(IntervalSampler(nullptr, obs::SamplerConfig{1, 2}),
-                 verify::SimError);
-    MetricsRegistry reg;
-    EXPECT_THROW(IntervalSampler(&reg, obs::SamplerConfig{0, 2}),
-                 verify::SimError);
-}
-
-TEST(SamplerConfig, FromEnvParsesAndRejects)
-{
-    {
-        ScopedEnv interval("BERTI_OBS_INTERVAL", "5000");
-        ScopedEnv ring("BERTI_OBS_RING", "16");
-        obs::SamplerConfig cfg = obs::SamplerConfig::fromEnv();
-        EXPECT_EQ(cfg.interval, 5000u);
-        EXPECT_EQ(cfg.capacity, 16u);
-    }
-    {
-        ScopedEnv interval("BERTI_OBS_INTERVAL", "banana");
-        EXPECT_THROW(obs::SamplerConfig::fromEnv(), verify::SimError);
-    }
-}
-
-// ------------------------------------------------------------ EventTrace
-
-TEST(PrefetchEventTrace, ExactTotalsWithSampling)
-{
-    obs::TraceConfig cfg;
-    cfg.capacity = 4;
-    cfg.samplePeriod = 3;  // keep every 3rd event
-    PrefetchEventTrace trace(cfg);
-    for (unsigned i = 0; i < 30; ++i)
-        trace.record(i, PfEvent::Issue, i, 7);
-    EXPECT_EQ(trace.total(PfEvent::Issue), 30u);  // exact despite 1/3
-    EXPECT_EQ(trace.totalSeen(), 30u);
-    EXPECT_EQ(trace.size(), 4u);                  // capped at capacity
-}
-
-TEST(PrefetchEventTrace, RingKeepsNewestEvents)
-{
-    obs::TraceConfig cfg;
-    cfg.capacity = 2;
-    PrefetchEventTrace trace(cfg);
-    trace.record(1, PfEvent::Issue, 10, 0);
-    trace.record(2, PfEvent::Fill, 20, 0);
-    trace.record(3, PfEvent::Useful, 30, 0);
-    ASSERT_EQ(trace.size(), 2u);
-    EXPECT_EQ(trace.event(0).kind, PfEvent::Fill);
-    EXPECT_EQ(trace.event(1).kind, PfEvent::Useful);
-    EXPECT_EQ(trace.event(1).line, 30u);
-}
-
-TEST(PrefetchEventTrace, JsonNamesEveryKind)
-{
-    obs::TraceConfig cfg;
-    cfg.capacity = 8;
-    PrefetchEventTrace trace(cfg);
-    trace.record(1, PfEvent::CrossPage, 2, 3);
-    std::string json = obs::toJson(trace);
-    for (std::size_t k = 0; k < obs::kPfEventKinds; ++k) {
-        EXPECT_NE(json.find(obs::pfEventName(static_cast<PfEvent>(k))),
-                  std::string::npos);
-    }
-    EXPECT_NE(json.find("\"cross_page\": 1"), std::string::npos);
-}
-
-TEST(PrefetchEventTrace, DegenerateConfigsAndIndexThrow)
-{
-    obs::TraceConfig zero_cap;
-    zero_cap.capacity = 0;
-    EXPECT_THROW(PrefetchEventTrace trace(zero_cap), verify::SimError);
-    obs::TraceConfig zero_period;
-    zero_period.capacity = 4;
-    zero_period.samplePeriod = 0;
-    EXPECT_THROW(PrefetchEventTrace trace(zero_period),
-                 verify::SimError);
-    obs::TraceConfig ok;
-    ok.capacity = 4;
-    PrefetchEventTrace trace(ok);
-    EXPECT_THROW(trace.event(0), verify::SimError);
-}
-
-TEST(TraceConfig, FromEnvParsesAndRejects)
-{
-    {
-        ScopedEnv cap("BERTI_OBS_PFTRACE", "512");
-        ScopedEnv period("BERTI_OBS_PFTRACE_PERIOD", "4");
-        obs::TraceConfig cfg = obs::TraceConfig::fromEnv();
-        EXPECT_EQ(cfg.capacity, 512u);
-        EXPECT_EQ(cfg.samplePeriod, 4u);
-    }
-    {
-        ScopedEnv cap("BERTI_OBS_PFTRACE", "lots");
-        EXPECT_THROW(obs::TraceConfig::fromEnv(), verify::SimError);
-    }
 }
 
 // --------------------------------------------------------- Machine level
@@ -605,61 +400,6 @@ TEST(MachineMetrics, AggregateStatsSumsCores)
               c0.l1d.demandAccesses + c1.l1d.demandAccesses);
     EXPECT_EQ(agg.llc.fills, c0.llc.fills);  // shared: counted once
     EXPECT_EQ(agg.core.cycles, machine.cycle());
-}
-
-TEST(MachineMetrics, IntervalSamplerWiredThroughEnv)
-{
-    ScopedEnv interval("BERTI_OBS_INTERVAL", "1000");
-    ScopedEnv ring("BERTI_OBS_RING", "64");
-    auto gen = findWorkload("mcf-like.472").make();
-    Machine machine(MachineConfig::sunnyCove(1), {gen.get()});
-    ASSERT_NE(machine.intervalSeries(), nullptr);
-    machine.run(5000);
-    const IntervalSeries &series = *machine.intervalSeries();
-    EXPECT_GE(series.size(), 4u);
-    ASSERT_FALSE(series.columns().empty());
-    // Counter columns are non-decreasing over time.
-    auto cols = machine.metrics().counterNames();
-    std::size_t instr_col =
-        std::find(cols.begin(), cols.end(), "c0.core.instructions") -
-        cols.begin();
-    ASSERT_LT(instr_col, cols.size());
-    for (std::size_t i = 1; i < series.size(); ++i) {
-        EXPECT_GE(series.sample(i).values[instr_col],
-                  series.sample(i - 1).values[instr_col]);
-    }
-}
-
-TEST(MachineMetrics, SamplerOffByDefault)
-{
-    auto gen = findWorkload("mcf-like.472").make();
-    Machine machine(MachineConfig::sunnyCove(1), {gen.get()});
-    EXPECT_EQ(machine.intervalSeries(), nullptr);
-    EXPECT_EQ(machine.prefetchTrace(0), nullptr);
-}
-
-TEST(MachineMetrics, EventTraceConsistentWithCounters)
-{
-    ScopedEnv trace_env("BERTI_OBS_PFTRACE", "256");
-    auto gen = findWorkload("mcf-like.472").make();
-    MachineConfig cfg = MachineConfig::sunnyCove(1);
-    cfg.l1dPrefetcher = makeSpec("berti").l1d;
-    Machine machine(cfg, {gen.get()});
-    ASSERT_NE(machine.prefetchTrace(0), nullptr);
-    machine.run(20000);
-    const PrefetchEventTrace &trace = *machine.prefetchTrace(0);
-    RunStats live = machine.liveStats(0);
-    std::uint64_t issued =
-        live.l1d.prefetchIssued + live.l2.prefetchIssued +
-        live.l1i.prefetchIssued;
-    EXPECT_EQ(trace.total(PfEvent::Issue), issued);
-    EXPECT_EQ(trace.total(PfEvent::Fill),
-              live.l1d.prefetchFills + live.l2.prefetchFills +
-                  live.l1i.prefetchFills);
-    EXPECT_EQ(trace.total(PfEvent::CrossPage),
-              live.l1d.prefetchCrossPage + live.l2.prefetchCrossPage +
-                  live.l1i.prefetchCrossPage);
-    EXPECT_GT(issued, 0u);
 }
 
 // ------------------------------------------- determinism / reset-reuse

@@ -101,7 +101,7 @@ TEST(StoreKey, ParamsFingerprintCoversResultAffectingFields)
     EXPECT_NE(paramsFingerprint(measure), h);
 
     SimParams dram = base;
-    dram.dramMtps += 1;
+    dram.memBackend = "dram:ddr4;mtps=1600";
     EXPECT_NE(paramsFingerprint(dram), h);
 }
 

@@ -389,14 +389,14 @@ TEST(SimOptionsKnobs, MalformedValuesAreConfigErrorsNamingTheKnob)
         {"BERTI_SAMPLE_WINDOWS", "-1"},
         {"BERTI_TEST_SEED", ""},
         {"BERTI_SAMPLE_MEASURE", "0"},
-        {"BERTI_OBS_RING", "1e3"},
+        {"BERTI_SAMPLE_WARMUP", "1e3"},
         {"BERTI_VERIFY_INTERVAL", "abc"},
         {"BERTI_VERIFY_INTERVAL", "0"},
         {"BERTI_TEST_SEED", "12abc"},
         {"BERTI_TEST_SEED", "0x"},
         {"BERTI_PROP_ITERS", "three"},
         {"BERTI_PROP_ITERS", "99999999999999999999999"},
-        {"BERTI_HYBRID_CREDITS", "4294967296"},
+        {"BERTI_SAMPLE_WINDOWS", "4294967296"},
         {"BERTI_BENCH_QUICK", "maybe"},
         {"BERTI_CYCLE_SKIP", "00"},
         {"BERTI_VERIFY", " 1"},
@@ -413,7 +413,7 @@ TEST(SimOptionsKnobs, MalformedValuesAreConfigErrorsNamingTheKnob)
         }
     }
     for (const char *flag : {"--jobs=", "--jobs=0", "--sample-warmup=12abc",
-                             "--hybrid-degree=+2", "--hybrid-psel-bits=0"}) {
+                             "--sample-windows=+2", "--sample-measure=0"}) {
         sim::SimOptions opt;
         std::string arg = flag;
         std::string name = arg.substr(0, arg.find('='));
@@ -445,14 +445,14 @@ TEST(SimOptionsKnobs, SwitchesAndIntegersShareOneSpelling)
     sim::SimOptions opt;
     EXPECT_TRUE(opt.applyFlag("--quick"));
     EXPECT_TRUE(opt.applyFlag("--verify"));
-    EXPECT_TRUE(opt.applyFlag("--hybrid-degree=2"));
+    EXPECT_TRUE(opt.applyFlag("--sample-windows=2"));
     // Cycle-skip is environment-only (BERTI_CYCLE_SKIP): no flag.
     EXPECT_FALSE(opt.applyFlag("--no-cycle-skip"));
     EXPECT_FALSE(opt.applyFlag("--cycle-skip"));
     EXPECT_TRUE(opt.benchQuick);
     EXPECT_TRUE(opt.verify);
     EXPECT_TRUE(opt.cycleSkip);
-    EXPECT_EQ(opt.hybridDegree, 2u);
+    EXPECT_EQ(opt.sampleWindows, 2u);
     EXPECT_EQ(sim::parseInteger("n", "0x10", 0), 16u);
 
     // --verify reaches the machine through the shared options mapping.

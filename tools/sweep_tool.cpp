@@ -12,18 +12,21 @@
  *     --workloads=a,b,c     workload names and/or file: trace URIs
  *                           (file:/path/foo.champsim[.xz|.gz];
  *                           default: a small trio)
- *     --specs=x,y           prefetcher specs (default: none,berti)
+ *     --specs=x,y           prefetcher specs (default: none,berti);
+ *                           hybrid selector geometry is spelled in
+ *                           the spec: "hybrid(berti,cmc;degree=2)"
  *     --store=DIR           result store directory (enables resume)
  *     --out=DIR             write per-cell resultSnapshot JSON here
- *     --warmup=N --measure=N --dram-mtps=N
+ *     --warmup=N --measure=N
  *     --mem-backend=SPEC    memory backend (mem/backend_registry.hh
  *                           grammar, e.g. dram:ddr5 or
- *                           "dram:hbm;sched=fcfs"; default dram:ddr4)
+ *                           "dram:hbm;sched=fcfs"; default dram:ddr4);
+ *                           the DRAM rate is its mtps= option
+ *                           ("dram:ddr4;mtps=1600")
  *     --sample-windows=N    sampled mode: N measurement windows (0=off)
  *     --sample-warmup=N     per-window warmup instructions
  *     --sample-measure=N    per-window measured instructions (> 0)
  *     --sample-stride=N     window start spacing (0 = back-to-back)
- *     --hybrid-*=N          hybrid selector geometry
  *     --jobs=N              worker threads (default: BERTI_JOBS, else
  *                           all hardware threads)
  *     --attempts=N          max attempts per cell (default 3)
@@ -115,9 +118,6 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (valueOf(arg, "--measure=", v)) {
             opt.params.measureInstructions =
                 sim::parseInteger("--measure", v, 0);
-        } else if (valueOf(arg, "--dram-mtps=", v)) {
-            opt.params.dramMtps = static_cast<unsigned>(
-                sim::parseInteger("--dram-mtps", v, 1));
         } else if (valueOf(arg, "--attempts=", v)) {
             opt.attempts = static_cast<unsigned>(
                 sim::parseInteger("--attempts", v, 0));
@@ -171,11 +171,9 @@ main(int argc, char **argv)
         std::vector<Workload> workloads;
         for (const std::string &name : opt.workloads)
             workloads.push_back(resolveWorkload(name));
-        // Options-aware resolution: hybrid specs pick up the selector
-        // geometry and canonicalize their store-key names accordingly.
         std::vector<PrefetcherSpec> specs;
         for (const std::string &name : opt.specs)
-            specs.push_back(makeSpec(name, opt.simOpt));
+            specs.push_back(makeSpec(name));
 
         std::unique_ptr<harness::ResultStore> store;
         if (!opt.storeDir.empty()) {

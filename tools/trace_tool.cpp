@@ -96,7 +96,7 @@ cmdRun(const sim::SimOptions &opt, const std::string &path,
     params.measureInstructions = instructions;
     params.applyOptions(opt);
     SimResult r =
-        simulate(resolveWorkload("file:" + path), makeSpec(pf, opt), params);
+        simulate(resolveWorkload("file:" + path), makeSpec(pf), params);
     std::cout << r.roi.summary() << "\n";
     return 0;
 }
