@@ -219,12 +219,18 @@ void
 Machine::tick()
 {
     ++clock;
+    // A cache whose due cycle has not arrived would do no work this
+    // cycle (see Cache::dueCycle), so its tick is skipped.
+    auto tick_if_due = [this](Cache &c) {
+        if (c.dueCycle() <= clock)
+            c.tick();
+    };
     dram->tick();
-    llc->tick();
+    tick_if_due(*llc);
     for (auto &n : nodes) {
-        n->l2Cache->tick();
-        n->l1dCache->tick();
-        n->l1iCache->tick();
+        tick_if_due(*n->l2Cache);
+        tick_if_due(*n->l1dCache);
+        tick_if_due(*n->l1iCache);
         n->cpu->tick();
     }
     if (audit)

@@ -223,6 +223,8 @@ Cache::releaseMshr(MshrEntry *e)
     e->valid = false;
     --mshrUsed;
     mshrFree.push_back(static_cast<unsigned>(e - mshr.data()));
+    headParked = false;
+    due = std::min(due, *clock);
 }
 
 void
@@ -247,6 +249,7 @@ Cache::submitRead(MemRequest req)
         return false;
     req.enqueueCycle = *clock;
     rq.push_back(req);
+    due = std::min(due, *clock + 1);
     return true;
 }
 
@@ -256,6 +259,7 @@ Cache::submitWriteback(Addr p_line)
     // Soft capacity: writebacks are never refused to keep the fill path
     // deadlock-free; sizes beyond wqSize only happen in short bursts.
     wq.push_back(p_line);
+    due = std::min(due, *clock + 1);
 }
 
 bool
@@ -300,6 +304,7 @@ Cache::issuePrefetch(Addr line_addr, FillLevel level)
         return false;
     }
     pq.push_back(req);
+    due = std::min(due, *clock + 1);
     ++stats.prefetchIssued;
 
     // Classify against the access that (synchronously) triggered this
@@ -376,6 +381,7 @@ Cache::tick()
     // ignore it.
     if (pfDispatch == PfDispatch::Virtual)
         pf->tick();
+    due = nextEventCycle();
 }
 
 Cycle
@@ -386,14 +392,15 @@ Cache::nextEventCycle() const
         return *clock + 1;
     Cycle next = kNever;
     // Reads/prefetches are head-of-line: only the head's maturity
-    // (enqueue + lookup latency) gates progress.
+    // (enqueue + lookup latency) gates progress. A parked read head is
+    // mature, so it stays due next cycle like any blocked head.
     if (!rq.empty()) {
-        Cycle due = rq.front().enqueueCycle + cfg.latency;
-        next = std::min(next, std::max(due, *clock + 1));
+        Cycle ready = rq.front().enqueueCycle + cfg.latency;
+        next = std::min(next, std::max(ready, *clock + 1));
     }
     if (!pq.empty()) {
-        Cycle due = pq.front().enqueueCycle + cfg.latency;
-        next = std::min(next, std::max(due, *clock + 1));
+        Cycle ready = pq.front().enqueueCycle + cfg.latency;
+        next = std::min(next, std::max(ready, *clock + 1));
     }
     return next;
 }
@@ -422,6 +429,8 @@ Cache::processWrites()
 void
 Cache::processReads()
 {
+    if (headParked)
+        return;  // the head would find the MSHR file full again
     unsigned done = 0;
     while (done < cfg.maxReadsPerCycle && !rq.empty()) {
         MemRequest &req = rq.front();
@@ -490,9 +499,9 @@ Cache::handleRead(MemRequest &req)
                 (cfg.trainOnInstrFetch &&
                  req.type == AccessType::InstrFetch)) {
                 trainVLine = cfg.isL1d ? info.vLine : info.pLine;
-                        notifyAccess(info);
+                notifyAccess(info);
                 trainVLine = kNoAddr;
-                    }
+            }
         } else {
             // An in-flight prefetch from above found the line here.
             ++stats.dataReads;
@@ -555,7 +564,10 @@ Cache::handleRead(MemRequest &req)
             ++stats.requestsBelow;
             return true;
         }
-        return false;  // retried next cycle
+        // Only a release (free MSHR) or a fill (a hit) can change this
+        // outcome; park the queue until releaseMshr/fillLine clears it.
+        headParked = true;
+        return false;
     }
 
     ++stats.tagReads;
@@ -684,6 +696,9 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
     unsigned set = setIndex(p_line);
     std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
 
+    headParked = false;  // the parked head may hit this line now
+    due = std::min(due, *clock);
+
     // Prefer an invalid way.
     lastEvictedPLine = kNoAddr;
     lastEvictedUnusedPf = false;
@@ -785,7 +800,9 @@ Cache::readDone(const MemRequest &req)
 // ---------------------------------------------------------------------
 // Checkpointing. Transient per-call scratch (trainVLine, the
 // lastEvicted* pair, wakeScratch) is dead between ticks and deliberately
-// not serialized. Freed MSHR entries keep stale field junk at runtime,
+// not serialized. Neither is the derived scheduling state (due,
+// headParked): its defaults make a restored cache tick and retry its
+// read head once. Freed MSHR entries keep stale field junk at runtime,
 // so only valid entries are written; a resume target is pristine, so
 // the omitted entries are already default on load — that keeps
 // save -> load -> save byte-identical.

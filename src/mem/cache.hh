@@ -137,12 +137,32 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     /**
      * Earliest future cycle at which tick() would do any work, given no
      * new input arrives (kNever if idle). Used by the Machine's
-     * quiescence cycle-skip; see ARCHITECTURE.md, "Performance". The
-     * bound must never be late: pending writes and unsent MSHR retries
-     * are due next cycle, queued reads/prefetches mature when the head
-     * finishes its lookup latency.
+     * quiescence cycle-skip and, cached as dueCycle(), by its per-cache
+     * tick gating; see ARCHITECTURE.md, "Performance". The bound must
+     * never be late: pending writes and unsent MSHR retries are due next
+     * cycle, queued reads/prefetches mature when the head finishes its
+     * lookup latency. A mature read head parked on a full MSHR file
+     * still counts as due next cycle, so a machine waiting on its
+     * misses is never reported idle.
      */
     Cycle nextEventCycle() const;
+
+    /**
+     * Cached next due cycle: never later than nextEventCycle(), so the
+     * owner may skip tick() on any cycle before it. tick() recomputes
+     * it; submits and prefetch issues pull it to the next cycle, MSHR
+     * releases and fills to the current one. Derived state, never
+     * checkpointed: a fresh or restored cache is due at once.
+     */
+    Cycle dueCycle() const { return due; }
+
+    /**
+     * Whether the read-queue head is parked: it found the MSHR file
+     * full, and only an MSHR release or a fill can change that, so
+     * tick() skips the queue until one happens. Derived state, never
+     * checkpointed: a restored cache re-derives it by retrying once.
+     */
+    bool readHeadParked() const { return headParked; }
 
     // ReadClient: response from the level below.
     void readDone(const MemRequest &req) override;
@@ -293,13 +313,18 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     // populate the prefetcher's FillInfo.
     Addr lastEvictedPLine = kNoAddr;
     bool lastEvictedUnusedPf = false;
+    // Packed into the padding after the bool above, which keeps
+    // sizeof(Cache) unchanged: a layout that grew it slowed perfbench
+    // busy set-up (Machine construction) by about 20%.
+    bool headParked = false;         //!< see readHeadParked()
+    PfDispatch pfDispatch = PfDispatch::None;
 
     std::vector<Line> lines;         //!< sets * ways
     std::vector<MshrEntry> mshr;
     std::vector<unsigned> mshrFree;  //!< free-list of mshr[] indices
     unsigned mshrUsed = 0;
     unsigned unsentMshrs = 0;        //!< valid entries with !sentBelow
-    PfDispatch pfDispatch = PfDispatch::None;
+    Cycle due = 0;                   //!< see dueCycle()
     RingQueue<MemRequest> rq;
     RingQueue<MemRequest> pq;
     RingQueue<Addr> wq;

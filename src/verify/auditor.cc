@@ -144,6 +144,18 @@ SimAuditor::checkCache(const Cache &cache) const
                        " valid entries awaiting a lower-level slot "
                        "(retry scheduling would stall or spin)");
 
+    // ---------------------------------------- derived tick scheduling
+    // A due cycle later than the next event would skip a tick that has
+    // work; a head parked with a free MSHR would never be retried.
+    if (cache.due > cache.nextEventCycle())
+        fail(name, "cached due cycle " + std::to_string(cache.due) +
+                       " is later than the next event at cycle " +
+                       std::to_string(cache.nextEventCycle()) +
+                       " (an input did not pull it in)");
+    if (cache.headParked && (cache.rq.empty() || !cache.mshrFree.empty()))
+        fail(name, "read-queue head parked with an empty RQ or a free "
+                   "MSHR (no release or fill will retry it)");
+
     // ------------------------------------------------- queue occupancy
     if (cache.rq.size() > ccfg.rqSize)
         fail(name, "RQ occupancy " + std::to_string(cache.rq.size()) +

@@ -9,6 +9,8 @@
  *     entries, and no entry is older than a leak threshold (a leaked
  *     entry would silently corrupt Berti's measured fill latency);
  *   - RQ / PQ / WQ occupancies stay within their declared bounds;
+ *   - a cache's cached due cycle is never later than its next event,
+ *     and a parked read-queue head always waits on a full MSHR file;
  *   - tag arrays never hold two copies of the same line, and every
  *     valid line maps to the set it sits in;
  *   - the cache-stats algebra holds (accesses = hits + misses + merges);

@@ -3,7 +3,8 @@
  * Simulator-speed overhaul tests: the hot-path containers (RingQueue /
  * IdSet), the MSHR arena (no live-entry recycling, audited), the
  * quiescence cycle-skip's bit-identical-results invariant (golden
- * matrix cells, adversarial micro-traces, a multi-core mix), and the
+ * matrix cells, adversarial micro-traces, a multi-core mix), the
+ * exactness of read-queue parking under MSHR starvation, and the
  * allocation-free steady-state demand path.
  */
 
@@ -301,6 +302,110 @@ TEST(MshrArena, ReuseUnderAuditWithCycleSkipOff)
     auto gen = findWorkload("mcf-like.1536").make();
     Machine machine(cfg, {gen.get()});
     EXPECT_NO_THROW(machine.run(30000));
+}
+
+// ==================================================== MSHR starvation
+// A 2-entry L1D and a 4-entry L2 MSHR file keep the read-queue heads
+// blocked on a full MSHR file most of the time, which is exactly when
+// a cache parks its head and skips its ticks. Parking and tick gating
+// are pure host-time optimisations, so these cells must reproduce the
+// machine-wide stats recorded before either existed, byte for byte.
+// The auditor rides along to check the parked flag and the cached due
+// cycles against the state they are derived from.
+
+const char *const kStarvedWorkloads[] = {
+    "mcf-like.472", "bwaves-like.2609", "cactu-like.709", "mcf-like.1536"};
+const char *const kStarvedSpecs[] = {"none", "berti"};
+
+MachineConfig
+starvedConfig(const std::string &spec_name)
+{
+    MachineConfig cfg = MachineConfig::sunnyCove(1);
+    cfg.l1d.mshrs = 2;
+    cfg.l2.mshrs = 4;
+    cfg.l1dPrefetcher = makeSpec(spec_name).l1d;
+    cfg.audit.enabled = true;
+    cfg.audit.interval = 512;
+    return cfg;
+}
+
+/** Warmup + measure on the starved machine; every registered metric. */
+std::string
+starvedCellJson(const std::string &workload, const std::string &spec_name)
+{
+    auto gen = findWorkload(workload).make();
+    Machine machine(starvedConfig(spec_name), {gen.get()});
+    machine.run(5000);
+    machine.run(20000);
+    return obs::toJson(machine.metricsSnapshot());
+}
+
+std::string
+starvedGoldenPath(const std::string &workload, const std::string &spec)
+{
+    return std::string(BERTI_GOLDEN_DIR) + "/" + workload + "__" + spec +
+           ".mshr-starved.json";
+}
+
+TEST(MshrStarvation, CellsMatchGoldensWithAndWithoutCycleSkip)
+{
+    const bool update = sim::SimOptions::fromEnv().updateGoldens;
+    for (const char *workload : kStarvedWorkloads) {
+        for (const char *spec : kStarvedSpecs) {
+            std::string path = starvedGoldenPath(workload, spec);
+            std::string on, off;
+            {
+                ScopedEnv env("BERTI_CYCLE_SKIP", "1");
+                on = starvedCellJson(workload, spec);
+            }
+            {
+                ScopedEnv env("BERTI_CYCLE_SKIP", "0");
+                off = starvedCellJson(workload, spec);
+            }
+            EXPECT_EQ(on, off) << workload << "/" << spec
+                               << " diverged under cycle-skip";
+            if (update) {
+                obs::writeFile(path, on);
+                continue;
+            }
+            EXPECT_EQ(obs::readFile(path), on)
+                << workload << "/" << spec << " drifted from " << path
+                << " (regenerate with tools/update_goldens.sh only after "
+                   "an intentional behaviour change)";
+        }
+    }
+}
+
+TEST(MshrStarvation, CheckpointWhileParkedResumesBitIdentical)
+{
+    const Workload &w = findWorkload("bwaves-like.2609");
+    MachineConfig cfg = starvedConfig("berti");
+
+    auto gen_a = w.make();
+    Machine uninterrupted(cfg, {gen_a.get()});
+    uninterrupted.run(2000);
+    // Step one instruction at a time until a run boundary leaves the
+    // L1D read-queue head parked on the full MSHR file.
+    for (int i = 0; i < 20000 && !uninterrupted.l1d(0).readHeadParked();
+         ++i)
+        uninterrupted.run(1);
+    ASSERT_TRUE(uninterrupted.l1d(0).readHeadParked())
+        << "the starved L1D never parked its read-queue head";
+    std::string mid = uninterrupted.saveCheckpointBlob();
+    uninterrupted.run(10000);
+    std::string want = uninterrupted.saveCheckpointBlob();
+
+    // The parked flag is derived state and is not serialized: the
+    // restored cache re-derives it by retrying the head once.
+    auto gen_b = w.make();
+    Machine resumed(cfg, {gen_b.get()});
+    resumed.resumeFromBlob(mid);
+    EXPECT_FALSE(resumed.l1d(0).readHeadParked());
+    test::expectSameCheckpoint(resumed, mid, "parked (idempotent restore)");
+    resumed.run(10000);
+    test::expectSameCheckpoint(resumed, want, "parked (post-resume run)");
+    EXPECT_EQ(obs::toJson(resumed.metricsSnapshot()),
+              obs::toJson(uninterrupted.metricsSnapshot()));
 }
 
 // ====================================================== allocation freedom

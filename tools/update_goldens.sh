@@ -11,7 +11,7 @@ set -eu
 cd "$(dirname "$0")/.."
 build="${1:-build}"
 
-for t in test_golden test_sampling; do
+for t in test_golden test_sampling test_simspeed; do
     if [ ! -x "$build/tests/$t" ]; then
         echo "error: $build/tests/$t not built." >&2
         echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -26,6 +26,10 @@ BERTI_UPDATE_GOLDENS=1 "$build/tests/test_golden" \
 # directory and regenerate the same way.
 BERTI_UPDATE_GOLDENS=1 "$build/tests/test_sampling" \
     --gtest_filter='Matrix/SampledGoldenTest.*'
+
+# The MSHR-starved machine-wide stats (*.mshr-starved.json) too.
+BERTI_UPDATE_GOLDENS=1 "$build/tests/test_simspeed" \
+    --gtest_filter='MshrStarvation.CellsMatchGoldens*'
 
 echo "goldens updated:"
 git status --short tests/goldens/ || ls tests/goldens/
