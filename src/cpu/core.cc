@@ -235,18 +235,20 @@ Core::readDone(const MemRequest &req)
         return;
     }
 
-    // Load completion: find the ROB entry (loads complete roughly in
-    // order, so the scan terminates quickly in practice).
-    for (auto &e : rob) {
-        if (e.id == req.instrId) {
-            if (e.pendingLoads > 0)
-                --e.pendingLoads;
-            if (e.pendingLoads == 0) {
-                e.done = true;
-                outstandingLoads.erase(e.id);
-            }
-            return;
-        }
+    // Load completion. ROB ids are consecutive (dispatch pushes fetch
+    // order, and the auditor checks it), so the entry sits at a fixed
+    // offset from the head.
+    if (rob.empty() || req.instrId < rob.front().id)
+        return;
+    std::uint64_t slot = req.instrId - rob.front().id;
+    if (slot >= rob.size())
+        return;
+    RobEntry &e = rob[slot];
+    if (e.pendingLoads > 0)
+        --e.pendingLoads;
+    if (e.pendingLoads == 0) {
+        e.done = true;
+        outstandingLoads.erase(e.id);
     }
 }
 

@@ -18,6 +18,23 @@
 namespace berti
 {
 
+std::uint64_t
+harness::checkpointChecksum(std::string_view data)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(data.data());
+    const std::size_t words = data.size() / 8;
+    std::uint64_t s = sim::Fnv64::kOffset;
+    for (std::size_t i = 0; i < words; ++i, p += 8) {
+        std::uint64_t w = 0;
+        for (unsigned b = 0; b < 8; ++b)
+            w |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+        s = (s ^ w) * sim::Fnv64::kPrime;
+    }
+    for (std::size_t i = words * 8; i < data.size(); ++i, ++p)
+        s = (s ^ *p) * sim::Fnv64::kPrime;
+    return s;
+}
+
 namespace
 {
 
@@ -207,7 +224,7 @@ Machine::writeCheckpoint(sim::PathProbe *probe) const
 
     std::string blob = w.take();
     sim::ByteWriter tail;
-    tail.u64(sim::fnv1a64(blob));
+    tail.u64(harness::checkpointChecksum(blob));
     blob += tail.data();
     return blob;
 }
@@ -256,7 +273,10 @@ Machine::resumeFromBlob(const std::string &blob)
     }
 
     // Whole-blob validation happens before a single payload field is
-    // applied: size, checksum, magic, version, fingerprint, core count.
+    // applied: size, magic, version, checksum, fingerprint, core count.
+    // Magic and version come before the checksum because another
+    // format version may checksum differently: it must fail as version
+    // skew, not as corruption.
     constexpr std::size_t min_size = harness::kCheckpointHeaderBytes +
                                      harness::kCheckpointChecksumBytes;
     if (blob.size() < min_size) {
@@ -265,16 +285,6 @@ Machine::resumeFromBlob(const std::string &blob)
     }
     std::string_view body(blob.data(),
                           blob.size() - harness::kCheckpointChecksumBytes);
-    sim::ByteReader sum_r(
-        std::string_view(blob.data() + body.size(),
-                         harness::kCheckpointChecksumBytes),
-        "Machine");
-    std::uint64_t stored_sum = sum_r.u64();
-    std::uint64_t computed_sum = sim::fnv1a64(body);
-    if (stored_sum != computed_sum)
-        rejectCheckpoint("checksum mismatch — the checkpoint is corrupt "
-                         "(torn write or bit flip)");
-
     sim::ByteReader r(body, "Machine");
     std::uint64_t magic = r.u64();
     if (magic != harness::kCheckpointMagic)
@@ -288,6 +298,13 @@ Machine::resumeFromBlob(const std::string &blob)
             " — checkpoints do not migrate across versions; re-run "
             "the interrupted experiment from scratch");
     }
+    sim::ByteReader sum_r(
+        std::string_view(blob.data() + body.size(),
+                         harness::kCheckpointChecksumBytes),
+        "Machine");
+    if (sum_r.u64() != harness::checkpointChecksum(body))
+        rejectCheckpoint("checksum mismatch — the checkpoint is corrupt "
+                         "(torn write or bit flip)");
     std::uint64_t fingerprint = r.u64();
     if (fingerprint != configFingerprint()) {
         rejectCheckpoint(

@@ -12,11 +12,13 @@
  *   u64  config fingerprint (Machine::configFingerprint())
  *   u32  core count
  *   ...  payload          per-component sections with sanity tags
- *   u64  FNV-1a-64 checksum over every preceding byte
+ *   u64  checkpointChecksum() of every preceding byte
  *
- * The checksum is verified before any payload field is parsed, so a
- * torn or bit-flipped checkpoint is rejected as a whole — partially
- * applying a corrupt checkpoint is impossible by construction.
+ * Magic and version are checked first, so a blob from another format
+ * version fails as version skew whatever its checksum. The checksum is
+ * verified before any payload field is parsed, so a torn or bit-flipped
+ * checkpoint is rejected as a whole — partially applying a corrupt
+ * checkpoint is impossible by construction.
  *
  * Versioning rule: ANY change to the payload layout — a new field, a
  * reordered section, a widened counter — bumps kCheckpointVersion.
@@ -32,6 +34,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace berti::harness
 {
@@ -43,13 +46,23 @@ constexpr std::uint64_t kCheckpointMagic = 0x504b434954524542ull;
  *  v2: pluggable memory backends — the DRAM section gained the
  *  FR-FCFS starvation-cap bypass counter, multi-channel backends wrap
  *  per-channel sections in their own tags, and the config fingerprint
- *  folds the backend model/scheduler/geometry. */
-constexpr std::uint32_t kCheckpointVersion = 2;
+ *  folds the backend model/scheduler/geometry.
+ *  v3: the trailing checksum became checkpointChecksum() (FNV-1a over
+ *  64-bit words) instead of byte-wise FNV-1a; the payload is unchanged. */
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 /** Bytes of header before the payload (magic + version + fingerprint
  *  + core count) and of the trailing checksum. */
 constexpr std::size_t kCheckpointHeaderBytes = 8 + 4 + 8 + 4;
 constexpr std::size_t kCheckpointChecksumBytes = 8;
+
+/**
+ * The blob checksum: FNV-1a over the little-endian 64-bit words of
+ * `data`, then byte-wise over the 0-7 byte tail. One multiply per word
+ * instead of per byte; each step (s ^ w) * prime is a bijection of the
+ * state, so a change confined to one word is always detected.
+ */
+std::uint64_t checkpointChecksum(std::string_view data);
 
 } // namespace berti::harness
 

@@ -40,11 +40,15 @@ Cache::Cache(const CacheConfig &config, const Cycle *clock_ptr)
           std::make_unique<obs::Histogram>(obs::Histogram::log2())),
       pf(std::make_unique<NoPrefetcher>()),
       repl(makeReplPolicy(cfg.repl, cfg.sets, cfg.ways)),
-      lines(static_cast<std::size_t>(cfg.sets) * cfg.ways),
+      // Filled from one blank Line: value-initialising each 24-byte
+      // element field by field took twice as long (Machine set-up).
+      lines(static_cast<std::size_t>(cfg.sets) * cfg.ways, Line{}),
+      tags(std::make_unique_for_overwrite<Addr[]>(cfg.mshrs + lines.size())),
       mshr(cfg.mshrs)
 {
     validateCacheConfig(cfg);
     pf->bind(this);
+    std::fill_n(tags.get(), cfg.mshrs + lines.size(), kNoAddr);
 
     // Steady-state allocation-free hot path: every queue, the MSHR
     // free-list and the waiter-wake scratch are sized up front. The
@@ -166,9 +170,12 @@ Cache::mshrSnapshot() const
 Cache::Line *
 Cache::findLine(Addr p_line)
 {
+    if (p_line == kNoAddr)
+        return nullptr;  // the empty-way marker is never a hit
     std::size_t base = static_cast<std::size_t>(setIndex(p_line)) * cfg.ways;
+    const Addr *set = lineTags() + base;
     for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (lines[base + w].valid && lines[base + w].pLine == p_line)
+        if (set[w] == p_line)
             return &lines[base + w];
     }
     return nullptr;
@@ -183,23 +190,28 @@ Cache::findLine(Addr p_line) const
 Cache::MshrEntry *
 Cache::findMshr(Addr p_line)
 {
-    for (auto &e : mshr) {
-        if (e.valid && e.pLine == p_line)
-            return &e;
+    if (p_line == kNoAddr)
+        return nullptr;  // the free-entry marker is never a match
+    const Addr *tag = mshrTags();
+    for (unsigned i = 0; i < cfg.mshrs; ++i) {
+        if (tag[i] == p_line)
+            return &mshr[i];
     }
     return nullptr;
 }
 
 Cache::MshrEntry *
-Cache::allocMshr()
+Cache::allocMshr(Addr p_line)
 {
     if (mshrFree.empty())
         return nullptr;
-    MshrEntry &e = mshr[mshrFree.back()];
+    unsigned idx = mshrFree.back();
+    MshrEntry &e = mshr[idx];
     mshrFree.pop_back();
     // Field-wise reset instead of `e = MshrEntry{}` so the waiters
     // vector keeps its capacity across reuse (allocation-free arena).
-    e.pLine = kNoAddr;
+    e.pLine = p_line;
+    mshrTags()[idx] = p_line;
     e.vLine = kNoAddr;
     e.ip = 0;
     e.isPrefetch = false;
@@ -222,7 +234,9 @@ Cache::releaseMshr(MshrEntry *e)
         --unsentMshrs;
     e->valid = false;
     --mshrUsed;
-    mshrFree.push_back(static_cast<unsigned>(e - mshr.data()));
+    auto idx = static_cast<unsigned>(e - mshr.data());
+    mshrTags()[idx] = kNoAddr;
+    mshrFree.push_back(idx);
     headParked = false;
     due = std::min(due, *clock);
 }
@@ -550,7 +564,7 @@ Cache::handleRead(MemRequest &req)
         return true;
     }
 
-    MshrEntry *e = allocMshr();
+    MshrEntry *e = allocMshr(req.pLine);
     if (!e) {
         // Ownerless in-flight prefetches (nobody above waits on them)
         // are demoted below instead of head-of-line blocking the RQ.
@@ -575,7 +589,6 @@ Cache::handleRead(MemRequest &req)
         ++stats.demandAccesses;
         ++stats.demandMisses;
     }
-    e->pLine = req.pLine;
     e->vLine = req.vLine;
     e->ip = req.ip;
     e->isPrefetch = req.type == AccessType::Prefetch;
@@ -637,7 +650,7 @@ Cache::handlePrefetch(MemRequest &req)
         return true;
     }
 
-    MshrEntry *e = allocMshr();
+    MshrEntry *e = allocMshr(req.pLine);
     if (!e) {
         // MSHRs exhausted by demand misses. Rather than head-of-line
         // blocking the PQ behind demand pressure, demote the prefetch
@@ -656,7 +669,6 @@ Cache::handlePrefetch(MemRequest &req)
     }
 
     ++stats.tagReads;
-    e->pLine = req.pLine;
     e->vLine = req.vLine;
     e->ip = req.ip;
     e->isPrefetch = true;
@@ -702,9 +714,10 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
     // Prefer an invalid way.
     lastEvictedPLine = kNoAddr;
     lastEvictedUnusedPf = false;
+    Addr *set_tags = lineTags() + base;
     unsigned way = cfg.ways;
     for (unsigned w = 0; w < cfg.ways; ++w) {
-        if (!lines[base + w].valid) {
+        if (set_tags[w] == kNoAddr) {
             way = w;
             break;
         }
@@ -713,10 +726,10 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
         way = repl->victim(set);
         Line &victim = lines[base + way];
         if (victim.dirty) {
-            lower->submitWriteback(victim.pLine);
+            lower->submitWriteback(set_tags[way]);
             ++stats.writebacks;
         }
-        lastEvictedPLine = victim.pLine;
+        lastEvictedPLine = set_tags[way];
         if (victim.prefetched && !victim.pfUsed) {
             ++stats.prefetchUseless;
             lastEvictedUnusedPf = true;
@@ -724,9 +737,8 @@ Cache::fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched)
     }
 
     Line &l = lines[base + way];
-    l.pLine = p_line;
+    set_tags[way] = p_line;
     l.vLine = v_line;
-    l.valid = true;
     l.dirty = dirty;
     l.prefetched = prefetched;
     l.pfUsed = false;
@@ -813,21 +825,31 @@ Cache::visitState(sim::StateIO &io)
     io.tag(0xCAC4E000u, cfg.name.c_str());
     io.stats("stats", stats);
 
-    io.each("lines", lines, [&io](Line &l) {
-        io.u64(l.pLine);
+    // The blob keeps a pLine and a valid bit per line. Both are read
+    // from, and restore, the line's lineTags() entry; a load rejects a
+    // pair that disagrees, which would not re-save byte-identically.
+    io.each("lines", lines, [&](Line &l) {
+        Addr &tag = lineTags()[&l - lines.data()];
+        Addr p_line = tag;
+        bool valid = tag != kNoAddr;
+        io.u64(p_line);
         io.u64(l.vLine);
-        io.b(l.valid);
+        io.b(valid);
+        if (valid != (p_line != kNoAddr))
+            io.fail("line tag and valid bit disagree in " + cfg.name);
+        tag = p_line;
         io.b(l.dirty);
         io.b(l.prefetched);
         io.b(l.pfUsed);
         io.u64(l.pfLatency);
     });
 
-    io.fixed("mshr", mshr, [&io](MshrEntry &e) {
+    io.fixed("mshr", mshr, [&](MshrEntry &e) {
         io.b(e.valid);
         if (!e.valid)
-            return;
+            return;  // a resume target's entry and tag are already free
         io.u64(e.pLine);
+        mshrTags()[&e - mshr.data()] = e.pLine;
         io.u64(e.vLine);
         io.u64(e.ip);
         io.b(e.isPrefetch);

@@ -49,13 +49,15 @@ class MemLevel
     virtual void submitWriteback(Addr p_line) = 0;
 };
 
+/** Field order leaves no padding hole: Cache embeds a copy, and its size
+ *  is kept at 608 bytes (see Cache::tags). */
 struct CacheConfig
 {
     std::string name = "cache";
+    Cycle latency = 5;        //!< tag+data lookup latency
     unsigned level = 1;       //!< 1 = L1, 2 = L2, 3 = LLC
     unsigned sets = 64;
     unsigned ways = 8;
-    Cycle latency = 5;        //!< tag+data lookup latency
     unsigned mshrs = 16;
     unsigned rqSize = 32;
     unsigned pqSize = 16;
@@ -217,11 +219,11 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     CacheStats stats;
 
   private:
+    /** A line's payload. Its physical tag lives in lineTags() (kNoAddr
+     *  = invalid way), so a lookup touches 8 bytes per way. */
     struct Line
     {
-        Addr pLine = kNoAddr;
         Addr vLine = kNoAddr;
-        bool valid = false;
         bool dirty = false;
         bool prefetched = false;  //!< brought in by a prefetch
         bool pfUsed = false;      //!< prefetched line already demanded
@@ -259,10 +261,21 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     };
 
     unsigned setIndex(Addr p_line) const { return p_line % cfg.sets; }
+
+    /** MSHR tag mirror: entry i is mshr[i].pLine while that entry is
+     *  valid, kNoAddr while it is free. */
+    Addr *mshrTags() const { return tags.get(); }
+    /** Line tags: entry i is lines[i]'s physical line, kNoAddr for an
+     *  invalid way. */
+    Addr *lineTags() const { return tags.get() + cfg.mshrs; }
+
+    /** Lookups scan only the tag arrays; kNoAddr never matches. */
     Line *findLine(Addr p_line);
     const Line *findLine(Addr p_line) const;
     MshrEntry *findMshr(Addr p_line);
-    MshrEntry *allocMshr();
+
+    /** Take a free MSHR entry for p_line (null if the file is full). */
+    MshrEntry *allocMshr(Addr p_line);
 
     /** Return an MSHR entry to the free list (waiters must be empty or
      *  already swapped out; capacity is retained for reuse). */
@@ -320,6 +333,11 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     PfDispatch pfDispatch = PfDispatch::None;
 
     std::vector<Line> lines;         //!< sets * ways
+    // One allocation for both tag arrays, mshrs MSHR tags then
+    // sets * ways line tags, with kNoAddr marking an empty slot. A
+    // unique_ptr rather than two vectors keeps sizeof(Cache) at 608:
+    // a layout that grew it slowed Machine construction.
+    std::unique_ptr<Addr[]> tags;
     std::vector<MshrEntry> mshr;
     std::vector<unsigned> mshrFree;  //!< free-list of mshr[] indices
     unsigned mshrUsed = 0;

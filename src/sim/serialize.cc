@@ -27,6 +27,13 @@ ByteReader::expectTag(std::uint32_t t, const char *what)
 }
 
 void
+ByteReader::failTruncated(std::size_t n) const
+{
+    fail("truncated checkpoint data (need " + std::to_string(n) +
+         " more bytes, " + std::to_string(buf.size() - pos) + " left)");
+}
+
+void
 ByteReader::fail(const std::string &reason) const
 {
     throw verify::SimError(verify::ErrorKind::Checkpoint, comp, reason, {},

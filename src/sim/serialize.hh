@@ -204,14 +204,17 @@ class ByteReader
     [[noreturn]] void fail(const std::string &reason) const;
 
   private:
+    /** The per-field bounds check: one compare inline, the message
+     *  built out of line only when it fails. */
     void
     need(std::size_t n)
     {
-        if (buf.size() - pos < n)
-            fail("truncated checkpoint data (need " + std::to_string(n) +
-                 " more bytes, " + std::to_string(buf.size() - pos) +
-                 " left)");
+        if (buf.size() - pos < n) [[unlikely]]
+            failTruncated(n);
     }
+
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    failTruncated(std::size_t n) const;
 
     std::string_view buf;
     std::size_t pos = 0;

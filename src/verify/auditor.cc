@@ -94,7 +94,17 @@ SimAuditor::checkCache(const Cache &cache) const
     // ------------------------------------------------ MSHR bookkeeping
     unsigned valid = 0;
     unsigned unsent = 0;
-    for (const auto &e : cache.mshr) {
+    const Addr *mshr_tags = cache.mshrTags();
+    for (unsigned i = 0; i < ccfg.mshrs; ++i) {
+        const auto &e = cache.mshr[i];
+        // findMshr reads only the tag mirror, so it must agree with
+        // the entry it stands for.
+        if (mshr_tags[i] != (e.valid ? e.pLine : kNoAddr))
+            fail(name, "MSHR " + std::to_string(i) + " tag " +
+                           std::to_string(mshr_tags[i]) +
+                           " does not mirror its " +
+                           (e.valid ? "line " + std::to_string(e.pLine)
+                                    : std::string("free entry")));
         if (!e.valid)
             continue;
         ++valid;
@@ -173,25 +183,23 @@ SimAuditor::checkCache(const Cache &cache) const
                        " exceeds soft bound " + std::to_string(wq_bound));
 
     // ------------------------------------------- tag-array consistency
+    // The tag array is the only record of which ways are valid
+    // (kNoAddr = empty way).
     for (unsigned set = 0; set < ccfg.sets; ++set) {
-        std::size_t base = static_cast<std::size_t>(set) * ccfg.ways;
+        const Addr *tags =
+            cache.lineTags() + static_cast<std::size_t>(set) * ccfg.ways;
         for (unsigned w = 0; w < ccfg.ways; ++w) {
-            const auto &line = cache.lines[base + w];
-            if (!line.valid)
+            if (tags[w] == kNoAddr)
                 continue;
-            if (line.pLine == kNoAddr)
-                fail(name, "valid line with no address in set " +
-                               std::to_string(set));
-            if (cache.setIndex(line.pLine) != set)
-                fail(name, "line " + std::to_string(line.pLine) +
+            if (cache.setIndex(tags[w]) != set)
+                fail(name, "line " + std::to_string(tags[w]) +
                                " stored in foreign set " +
                                std::to_string(set));
             for (unsigned w2 = w + 1; w2 < ccfg.ways; ++w2) {
-                const auto &other = cache.lines[base + w2];
-                if (other.valid && other.pLine == line.pLine)
+                if (tags[w2] == tags[w])
                     fail(name, "duplicate tag " +
-                                   std::to_string(line.pLine) +
-                                   " in set " + std::to_string(set));
+                                   std::to_string(tags[w]) + " in set " +
+                                   std::to_string(set));
             }
         }
     }
@@ -230,11 +238,14 @@ SimAuditor::checkCore(const Core &core) const
                        " exceeds declared bound " +
                        std::to_string(core.cfg.fetchBufferSize));
 
+    // readDone finds a load's entry at instrId - head id, which holds
+    // only while the ids are consecutive.
     std::uint64_t last_id = 0;
     std::uint64_t pending_entries = 0;
     for (const auto &e : core.rob) {
-        if (e.id <= last_id)
-            fail(name, "ROB ids not strictly increasing");
+        if (e.id == 0 || (last_id != 0 && e.id != last_id + 1))
+            fail(name, "ROB ids not consecutive: " + std::to_string(e.id) +
+                           " follows " + std::to_string(last_id));
         last_id = e.id;
         if (!e.done && e.pendingLoads == 0)
             fail(name, "ROB entry " + std::to_string(e.id) +

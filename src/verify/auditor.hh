@@ -7,15 +7,17 @@
  *
  *   - MSHR bookkeeping is leak-free: the in-use count matches the valid
  *     entries, and no entry is older than a leak threshold (a leaked
- *     entry would silently corrupt Berti's measured fill latency);
+ *     entry would silently corrupt Berti's measured fill latency), and
+ *     each MSHR's tag mirror holds its line while valid, kNoAddr when free;
  *   - RQ / PQ / WQ occupancies stay within their declared bounds;
  *   - a cache's cached due cycle is never later than its next event,
  *     and a parked read-queue head always waits on a full MSHR file;
  *   - tag arrays never hold two copies of the same line, and every
  *     valid line maps to the set it sits in;
  *   - the cache-stats algebra holds (accesses = hits + misses + merges);
- *   - ROB / fetch-buffer occupancies respect the core configuration and
- *     the outstanding-load set matches the ROB's pending entries;
+ *   - ROB / fetch-buffer occupancies respect the core configuration,
+ *     ROB ids are consecutive, and the outstanding-load set matches the
+ *     ROB's pending entries;
  *   - TLB sets hold no duplicate pages, every cached page sits in its
  *     home set, and each cached translation agrees with the page table.
  *

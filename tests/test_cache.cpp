@@ -286,6 +286,24 @@ TEST_F(CacheFixture, FastHitCountsAndMisses)
     EXPECT_EQ(cache.stats.demandHits, hits + 1);
 }
 
+TEST_F(CacheFixture, EmptySlotMarkerNeverMatches)
+{
+    // On a cold cache every way and MSHR tag holds kNoAddr, the empty
+    // marker: looking kNoAddr up must find nothing, not an empty slot.
+    EXPECT_FALSE(cache.probe(kNoAddr));
+    EXPECT_FALSE(cache.probeDirty(kNoAddr));
+    EXPECT_FALSE(cache.fastHit(kNoAddr));
+
+    MemRequest fill;  // a response for a line nobody fetched
+    fill.pLine = kNoAddr;
+    cache.readDone(fill);
+    EXPECT_EQ(cache.mshrsInUse(), 0u);
+    EXPECT_EQ(cache.stats.fills, 0u);
+    EXPECT_EQ(cache.stats.fillLatencyCount, 0u);
+    EXPECT_EQ(cache.stats.demandHits, 0u);
+    EXPECT_FALSE(cache.probe(kNoAddr));
+}
+
 TEST_F(CacheFixture, FillLatencyMeasured)
 {
     cache.submitRead(load(1300, &client));

@@ -371,23 +371,50 @@ TEST(Checkpoint, CorruptBlobsRejectedBeforeAnyStateIsTouched)
     bad_magic[0] ^= 0xFF;
     rejects(bad_magic, "bad magic");
 
-    // Version skew: patch the version field, then re-stamp the trailing
-    // checksum so the version check (not the checksum) must catch it.
-    std::string bad_version = blob.substr(0, blob.size() - 8);
-    bad_version[8] = static_cast<char>(harness::kCheckpointVersion + 1);
-    std::uint64_t sum = sim::fnv1a64(bad_version);
-    for (unsigned i = 0; i < 8; ++i)
-        bad_version.push_back(static_cast<char>((sum >> (8 * i)) & 0xFF));
-    auto gen = w.make();
-    Machine m(configFor("berti"), {gen.get()});
-    try {
-        m.resumeFromBlob(bad_version);
-        FAIL() << "version skew accepted";
-    } catch (const verify::SimError &e) {
-        EXPECT_EQ(e.kind(), verify::ErrorKind::Checkpoint);
-        EXPECT_NE(e.reason().find("version"), std::string::npos)
-            << e.reason();
-    }
+    // Single-byte flips the word-wide checksum must catch: every header
+    // byte, each byte lane of one mid-payload word, every byte of the
+    // payload's non-word tail (folded byte by byte) and of the trailer.
+    auto flip = [&](std::size_t at, const std::string &what) {
+        std::string bad = blob;
+        bad[at] ^= 0x01;
+        rejects(bad, what + " at byte " + std::to_string(at));
+    };
+    const std::size_t body = blob.size() - harness::kCheckpointChecksumBytes;
+    for (std::size_t at = 0; at < harness::kCheckpointHeaderBytes; ++at)
+        flip(at, "header flip");
+    const std::size_t mid_word = body / 16 * 8;
+    for (std::size_t lane = 0; lane < 8; ++lane)
+        flip(mid_word + lane, "payload word lane flip");
+    ASSERT_NE(body % 8, 0u) << "this blob has no non-word tail to cover";
+    for (std::size_t at = body / 8 * 8; at < body; ++at)
+        flip(at, "payload tail flip");
+    for (std::size_t at = body; at < blob.size(); ++at)
+        flip(at, "checksum flip");
+
+    // Version skew is reported as such, ahead of the checksum, however
+    // the blob was stamped: re-stamped with this version's checksum, or
+    // a version-2 blob carrying v2's byte-wise FNV-1a trailer.
+    auto rejectsAsSkew = [&](std::uint32_t version, auto checksum,
+                             const std::string &what) {
+        std::string bad = blob.substr(0, body);
+        bad[8] = static_cast<char>(version);
+        std::uint64_t sum = checksum(bad);
+        for (unsigned i = 0; i < 8; ++i)
+            bad.push_back(static_cast<char>((sum >> (8 * i)) & 0xFF));
+        auto gen = w.make();
+        Machine m(configFor("berti"), {gen.get()});
+        try {
+            m.resumeFromBlob(bad);
+            FAIL() << what << ": version skew accepted";
+        } catch (const verify::SimError &e) {
+            EXPECT_EQ(e.kind(), verify::ErrorKind::Checkpoint) << what;
+            EXPECT_NE(e.reason().find("version"), std::string::npos)
+                << what << ": " << e.reason();
+        }
+    };
+    rejectsAsSkew(harness::kCheckpointVersion + 1,
+                  harness::checkpointChecksum, "next version");
+    rejectsAsSkew(2, sim::fnv1a64, "v2 blob");
 }
 
 TEST(Checkpoint, PristineLayoutIsPinned)
@@ -403,9 +430,9 @@ TEST(Checkpoint, PristineLayoutIsPinned)
         std::uint64_t hash;
     };
     const std::array<Pin, 3> pins = {{
-        {"berti", "", 1574510, 0xe46169cbb293539bull},
-        {"hybrid(berti,cmc)", "", 1655530, 0x6cb0f17e4044f25cull},
-        {"berti", "dram:hbm", 1579125, 0x1d11e905af615442ull},
+        {"berti", "", 1574510, 0x77a8fbf0028949a5ull},
+        {"hybrid(berti,cmc)", "", 1655530, 0x037d7395965ae91bull},
+        {"berti", "dram:hbm", 1579125, 0x29a2c174ea250639ull},
     }};
     for (const Pin &pin : pins) {
         const Workload &w = findWorkload("mcf-like.472");
@@ -416,7 +443,7 @@ TEST(Checkpoint, PristineLayoutIsPinned)
                            "': the checkpoint layout changed — bump "
                            "kCheckpointVersion and update this constant";
         EXPECT_EQ(blob.size(), pin.size) << what;
-        EXPECT_EQ(sim::fnv1a64(blob), pin.hash) << what;
+        EXPECT_EQ(harness::checkpointChecksum(blob), pin.hash) << what;
     }
 }
 
