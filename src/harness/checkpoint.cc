@@ -211,6 +211,7 @@ Machine::writeCheckpoint(sim::PathProbe *probe) const
         rejectCheckpoint(why);
 
     sim::ByteWriter w;
+    w.reserve(checkpointBytes);
     w.attach(probe);
     w.u64(harness::kCheckpointMagic);
     w.u32(harness::kCheckpointVersion);
@@ -226,6 +227,7 @@ Machine::writeCheckpoint(sim::PathProbe *probe) const
     sim::ByteWriter tail;
     tail.u64(harness::checkpointChecksum(blob));
     blob += tail.data();
+    checkpointBytes = blob.size();
     return blob;
 }
 

@@ -294,6 +294,10 @@ class Machine
     // allocation-free.
     std::vector<std::uint64_t> runTargets;
     std::vector<char> runDone;
+    /** Size of the last checkpoint blob. The next save reserves it up
+     *  front, so the blob is written without regrowing: every regrowth
+     *  of a megabyte blob faults in fresh pages. */
+    mutable std::size_t checkpointBytes = 0;
 
     void tick();
 

@@ -8,6 +8,7 @@
 #ifndef BERTI_SIM_RNG_HH
 #define BERTI_SIM_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace berti
@@ -36,19 +37,23 @@ class Rng
     }
 
     /** Uniform integer in [0, bound). bound must be > 0. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        // Multiply-shift reduction; bias is negligible for simulator use.
+        return static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(next()) * bound) >> 64);
+    }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability p of true. */
-    bool nextBool(double p);
-
-    /**
-     * Zipf-distributed integer in [0, n) with exponent s. Used for
-     * power-law graph degrees and hot-set accesses.
-     */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Full generator state, for checkpoint export. */
     std::uint64_t serializeState() const { return state; }
@@ -58,6 +63,55 @@ class Rng
 
   private:
     std::uint64_t state;
+};
+
+/**
+ * Zipf-distributed integers in [0, n) with exponent s, used for
+ * power-law graph degrees and hot-set accesses. Rejection-free
+ * approximate inverse-CDF sampling for the bounded Zipf distribution,
+ * accurate enough for synthetic workloads. The constants that depend
+ * only on (n, s) are computed once here; each draw takes one
+ * nextDouble() from the caller's Rng, or none when n <= 1.
+ */
+class ZipfDist
+{
+  public:
+    ZipfDist(std::uint64_t n, double s)
+        : n(n), harmonic(s == 1.0), oneMinusS(1.0 - s),
+          invOneMinusS(1.0 / oneMinusS)
+    {
+        double dn = static_cast<double>(n);
+        h = harmonic ? std::log(dn)
+                     : (std::pow(dn, oneMinusS) - 1.0) / oneMinusS;
+    }
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        if (n <= 1)
+            return 0;
+        double u = rng.nextDouble();
+        if (harmonic)
+            return static_cast<std::uint64_t>(std::exp(u * h)) - 1;
+        double x = std::pow(u * h * oneMinusS + 1.0, invOneMinusS);
+        std::uint64_t v = static_cast<std::uint64_t>(x);
+        return v >= n ? n - 1 : v;
+    }
+
+    /** Advance rng past one draw without computing its value. */
+    void
+    discard(Rng &rng) const
+    {
+        if (n > 1)
+            rng.next();
+    }
+
+  private:
+    std::uint64_t n;
+    bool harmonic;        //!< s == 1: the log/exp form
+    double oneMinusS;
+    double invOneMinusS;
+    double h;             //!< normalising constant of the inverse CDF
 };
 
 } // namespace berti

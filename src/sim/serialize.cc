@@ -15,6 +15,13 @@ fnv1a64(std::string_view data)
 }
 
 void
+ByteWriter::flush()
+{
+    buf.append(stage, staged);
+    staged = 0;
+}
+
+void
 ByteReader::expectTag(std::uint32_t t, const char *what)
 {
     std::size_t at = pos;

@@ -24,8 +24,10 @@
 #ifndef BERTI_SIM_SERIALIZE_HH
 #define BERTI_SIM_SERIALIZE_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -110,7 +112,11 @@ class PathProbe
     std::vector<std::pair<std::string, std::size_t>> open;
 };
 
-/** Typed little-endian serializer into a growable byte string. */
+/**
+ * Typed little-endian serializer into a growable byte string. Fields
+ * are copied inline into a small staging buffer inside the writer, and
+ * the string grows by one append per full buffer, out of line.
+ */
 class ByteWriter
 {
   public:
@@ -120,10 +126,16 @@ class ByteWriter
     put(T v)
     {
         static_assert(std::is_unsigned_v<T>);
-        char b[sizeof(T)];
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            b[i] = static_cast<char>(v >> (8 * i));
-        buf.append(b, sizeof(T));
+        if (kStage - staged < sizeof(T)) [[unlikely]]
+            flush();
+        char *b = stage + staged;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(b, &v, sizeof(T));
+        } else {
+            for (std::size_t i = 0; i < sizeof(T); ++i)
+                b[i] = static_cast<char>(v >> (8 * i));
+        }
+        staged += sizeof(T);
     }
 
     void u32(std::uint32_t v) { put(v); }
@@ -132,6 +144,7 @@ class ByteWriter
     void
     bytes(const void *data, std::size_t len)
     {
+        flush();
         buf.append(static_cast<const char *>(data), len);
     }
 
@@ -139,16 +152,38 @@ class ByteWriter
      *  asymmetry fails at the drifting component, not megabytes later. */
     void tag(std::uint32_t t) { u32(t); }
 
-    std::size_t size() const { return buf.size(); }
-    const std::string &data() const { return buf; }
-    std::string take() { return std::move(buf); }
+    std::size_t size() const { return buf.size() + staged; }
+
+    /** Make room for n bytes in all, so writing them never regrows. */
+    void reserve(std::size_t n) { buf.reserve(n); }
+
+    const std::string &
+    data()
+    {
+        flush();
+        return buf;
+    }
+
+    std::string
+    take()
+    {
+        flush();
+        return std::move(buf);
+    }
 
     /** Report every StateIO section written through here to `p`. */
     void attach(PathProbe *p) { paths = p; }
     PathProbe *probe() const { return paths; }
 
   private:
+    /** Move the staged bytes onto the end of buf. */
+    void flush();
+
+    static constexpr std::size_t kStage = 4096;
+
     std::string buf;
+    char stage[kStage];
+    std::size_t staged = 0;  //!< bytes of stage not yet in buf
     PathProbe *paths = nullptr;
 };
 

@@ -1,5 +1,7 @@
 #include "trace/generators.hh"
 
+#include <algorithm>
+
 namespace berti
 {
 
@@ -24,7 +26,9 @@ siteIp(unsigned site)
     return kIpBase + 4 * static_cast<Addr>(site);
 }
 
-/// Build a random Hamiltonian cycle over n nodes (pointer-chase chain).
+/// A random Hamiltonian cycle over n nodes (pointer-chase chain), as
+/// the order in which it visits them: node chain[i]'s successor is
+/// chain[(i + 1) % n].
 std::vector<std::uint32_t>
 buildChain(std::uint64_t n, std::uint64_t seed)
 {
@@ -36,10 +40,22 @@ buildChain(std::uint64_t n, std::uint64_t seed)
         std::uint64_t j = rng.nextBounded(i + 1);
         std::swap(perm[i], perm[j]);
     }
-    std::vector<std::uint32_t> next(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        next[perm[i]] = perm[(i + 1) % n];
-    return next;
+    return perm;
+}
+
+/// Position of node 0 in a chain: where every chase starts.
+std::uint32_t
+chainStart(const std::vector<std::uint32_t> &chain)
+{
+    return static_cast<std::uint32_t>(
+        std::find(chain.begin(), chain.end(), 0u) - chain.begin());
+}
+
+/// The chain position after pos, wrapping at the end.
+std::uint32_t
+chainStep(const std::vector<std::uint32_t> &chain, std::uint32_t pos)
+{
+    return pos + 1 == chain.size() ? 0 : pos + 1;
 }
 
 } // namespace
@@ -211,7 +227,8 @@ LbmLikeGen::refill()
 // ------------------------------------------------------------------ Mcf
 
 McfLikeGen::McfLikeGen(const Params &params)
-    : p(params), rng(p.seed), chain(buildChain(p.chainNodes, p.seed * 31))
+    : p(params), rng(p.seed), chain(buildChain(p.chainNodes, p.seed * 31)),
+      chainPos(chainStart(chain))
 {
     // Per-IP repeating delta cycles; deliberately distinct per IP so a
     // single global delta cannot cover them (paper Figure 3).
@@ -236,9 +253,9 @@ McfLikeGen::refill()
     if (turn % p.chaseEvery == 0) {
         // Pointer-chase IP: serial dependent loads over the chain.
         Addr node_addr = regionBase(3) +
-                         static_cast<Addr>(chainPos) * kLineSize;
+                         static_cast<Addr>(chain[chainPos]) * kLineSize;
         emitLoad(siteIp(50), node_addr, true);
-        chainPos = chain[chainPos];
+        chainPos = chainStep(chain, chainPos);
         emitAlu(siteIp(60), p.aluPerMem);
     }
     unsigned i = turn % static_cast<unsigned>(cycles.size());
@@ -267,7 +284,7 @@ McfLikeGen::refill()
 // ------------------------------------------------------------------ Gcc
 
 GccLikeGen::GccLikeGen(const Params &params)
-    : p(params), rng(p.seed), sweepCursor(regionBase(1))
+    : p(params), rng(p.seed), hot(p.hotLines, 0.9), sweepCursor(regionBase(1))
 {}
 
 void
@@ -287,7 +304,7 @@ GccLikeGen::refill()
     }
 
     // Hot-set access with a Zipf bias: mostly L1-resident.
-    Addr line = rng.nextZipf(p.hotLines, 0.9);
+    Addr line = hot(rng);
     emitLoad(siteIp(100), regionBase(0) + lineToByte(line) +
                           8 * rng.nextBounded(8));
     emitAlu(siteIp(130), p.aluPerMem);
@@ -311,21 +328,23 @@ RandomGen::refill()
 // --------------------------------------------------------- PointerChase
 
 PointerChaseGen::PointerChaseGen(const Params &params)
-    : p(params), chain(buildChain(p.chainNodes, p.seed * 17))
+    : p(params), chain(buildChain(p.chainNodes, p.seed * 17)),
+      pos(chainStart(chain))
 {}
 
 void
 PointerChaseGen::refill()
 {
     emitLoad(siteIp(170), regionBase(0) +
-                          static_cast<Addr>(pos) * kLineSize, true);
-    pos = chain[pos];
+                          static_cast<Addr>(chain[pos]) * kLineSize, true);
+    pos = chainStep(chain, pos);
     emitAlu(siteIp(180), p.aluPerMem);
 }
 
 // ---------------------------------------------------------------- Cloud
 
-CloudLikeGen::CloudLikeGen(const Params &params) : p(params), rng(p.seed)
+CloudLikeGen::CloudLikeGen(const Params &params)
+    : p(params), rng(p.seed), hot(p.hotLines, 0.8)
 {}
 
 void
@@ -338,7 +357,7 @@ CloudLikeGen::refill()
 
     bool cold = rng.nextBool(p.coldFraction);
     Addr line = cold ? p.hotLines + rng.nextBounded(p.coldLines)
-                     : rng.nextZipf(p.hotLines, 0.8);
+                     : hot(rng);
     emitLoad(ip, regionBase(0) + lineToByte(line) + 8 * rng.nextBounded(8));
     emitAlu(ip + 8, p.aluPerMem);
     if (rng.nextBool(1.0 / p.branchEvery))

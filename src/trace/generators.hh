@@ -169,8 +169,8 @@ class McfLikeGen : public QueuedGen
   private:
     Params p;
     Rng rng;
-    std::vector<std::uint32_t> chain;  //!< precomputed random cycle
-    std::uint32_t chainPos = 0;
+    std::vector<std::uint32_t> chain;  //!< random cycle, in visit order
+    std::uint32_t chainPos;            //!< index into chain
     /// per-IP repeating delta cycles (line deltas)
     std::vector<std::vector<int>> cycles;
     std::vector<Addr> cursor;
@@ -203,6 +203,7 @@ class GccLikeGen : public QueuedGen
   private:
     Params p;
     Rng rng;
+    ZipfDist hot;  //!< hot-set line popularity
     Addr sweepCursor;
     unsigned sinceSweep = 0;
     unsigned iter = 0;
@@ -247,8 +248,8 @@ class PointerChaseGen : public QueuedGen
 
   private:
     Params p;
-    std::vector<std::uint32_t> chain;
-    std::uint32_t pos = 0;
+    std::vector<std::uint32_t> chain;  //!< random cycle, in visit order
+    std::uint32_t pos;                 //!< index into chain
 };
 
 /**
@@ -280,6 +281,7 @@ class CloudLikeGen : public QueuedGen
   private:
     Params p;
     Rng rng;
+    ZipfDist hot;  //!< hot-set line popularity
     std::uint64_t codePos = 0;
 };
 

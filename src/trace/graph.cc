@@ -10,7 +10,8 @@ namespace berti
 namespace
 {
 
-/// Assemble a CSR from an unsorted (src, dst) edge list.
+/// Assemble a CSR from an unsorted (src, dst) edge list with a stable
+/// counting sort by source.
 Csr
 fromEdges(std::uint32_t nodes,
           std::vector<std::pair<std::uint32_t, std::uint32_t>> &edges)
@@ -50,39 +51,56 @@ Csr
 makeUniformGraph(std::uint32_t nodes, std::uint32_t avg_degree,
                  std::uint64_t seed)
 {
+    // Edges come out in source order, every node with avg_degree of
+    // them, so the CSR is written in place.
     Rng rng(seed);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(static_cast<std::size_t>(nodes) * avg_degree);
-    for (std::uint32_t u = 0; u < nodes; ++u) {
-        for (std::uint32_t d = 0; d < avg_degree; ++d) {
-            edges.emplace_back(
-                u, static_cast<std::uint32_t>(rng.nextBounded(nodes)));
-        }
-    }
-    return fromEdges(nodes, edges);
+    Csr g;
+    g.numNodes = nodes;
+    g.rowPtr.resize(static_cast<std::size_t>(nodes) + 1);
+    for (std::uint32_t u = 0; u <= nodes; ++u)
+        g.rowPtr[u] = u * avg_degree;
+    g.col.resize(static_cast<std::size_t>(nodes) * avg_degree);
+    for (std::uint32_t &v : g.col)
+        v = static_cast<std::uint32_t>(rng.nextBounded(nodes));
+    return g;
 }
 
 Csr
 makeKronGraph(std::uint32_t nodes, std::uint32_t avg_degree,
               std::uint64_t seed)
 {
-    Rng rng(seed);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(static_cast<std::size_t>(nodes) * avg_degree);
+    // Edges come out in source order, so the CSR is written in place.
+    // A first pass over the same draws fixes rowPtr, skipping the
+    // target draws, so col is allocated once at its final size.
+    const ZipfDist degree(4ull * avg_degree, 0.8);
+    const ZipfDist target(nodes, 0.75);
+    Csr g;
+    g.numNodes = nodes;
+    g.rowPtr.resize(static_cast<std::size_t>(nodes) + 1);
+    Rng count(seed);
+    std::uint32_t edges = 0;
     for (std::uint32_t u = 0; u < nodes; ++u) {
+        g.rowPtr[u] = edges;
         // Per-node degree itself follows a power law.
-        std::uint32_t deg = 1 + static_cast<std::uint32_t>(
-                                    rng.nextZipf(4ull * avg_degree, 0.8));
-        for (std::uint32_t d = 0; d < deg; ++d) {
-            std::uint32_t v = static_cast<std::uint32_t>(
-                rng.nextZipf(nodes, 0.75));
+        std::uint32_t deg = 1 + static_cast<std::uint32_t>(degree(count));
+        for (std::uint32_t d = 0; d < deg; ++d)
+            target.discard(count);
+        edges += deg;
+    }
+    g.rowPtr[nodes] = edges;
+
+    Rng rng(seed);
+    g.col.resize(edges);
+    for (std::uint32_t u = 0; u < nodes; ++u) {
+        degree.discard(rng);
+        for (std::uint32_t e = g.rowPtr[u]; e < g.rowPtr[u + 1]; ++e) {
+            std::uint32_t v = static_cast<std::uint32_t>(target(rng));
             // Scatter hub IDs across the range so locality is realistic.
-            v = static_cast<std::uint32_t>(
+            g.col[e] = static_cast<std::uint32_t>(
                 (static_cast<std::uint64_t>(v) * 2654435761ull) % nodes);
-            edges.emplace_back(u, v);
         }
     }
-    return fromEdges(nodes, edges);
+    return g;
 }
 
 Csr

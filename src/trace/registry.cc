@@ -1,6 +1,5 @@
 #include "trace/registry.hh"
 
-#include <map>
 #include <mutex>
 
 #include "trace/champsim.hh"
@@ -15,42 +14,52 @@ namespace berti
 namespace
 {
 
+/// One registry graph: its recipe and, once built, the shared Csr.
+/// Each graph has its own lock, so a worker that needs one graph never
+/// waits behind the build of another.
+struct GraphSlot
+{
+    constexpr GraphSlot(const char *n, Csr (*b)()) : name(n), build(b) {}
+
+    const char *name;
+    Csr (*build)();
+    std::mutex mutex;
+    std::shared_ptr<const Csr> graph;  //!< null until a build succeeds
+};
+
+constinit GraphSlot graphSlots[] = {
+    {"kron", [] { return makeKronGraph(1u << 19, 8, 0xC0FFEE); }},
+    {"urand", [] { return makeUniformGraph(1u << 19, 8, 0xBEEF); }},
+    {"road", [] { return makeRoadGraph(768, 512, 0xF00D); }},
+    // Denser power law: fewer nodes, heavier hubs (Twitter-like).
+    {"twitter", [] { return makeKronGraph(1u << 18, 16, 0x717717); }},
+    // Sparser, larger crawl-like graph.
+    {"web", [] { return makeKronGraph(1u << 19, 6, 0x3EB); }},
+};
+
+} // namespace
+
 /// Graphs are expensive to build and immutable; share them across all
 /// kernel workloads and across repeated bench invocations. Workload
-/// make() runs concurrently under the parallel runner, so the cache is
-/// mutex-guarded; the Csr itself is immutable and safe to share.
+/// make() runs concurrently under the parallel runner; a build that
+/// throws leaves its slot empty, so the next caller builds it again.
 std::shared_ptr<const Csr>
-sharedGraph(const std::string &name)
+registryGraph(const std::string &name)
 {
-    static std::mutex mutex;
-    static std::map<std::string, std::shared_ptr<const Csr>> cache;
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = cache.find(name);
-    if (it != cache.end())
-        return it->second;
-
-    std::shared_ptr<const Csr> g;
-    if (name == "kron") {
-        g = std::make_shared<const Csr>(makeKronGraph(1u << 19, 8, 0xC0FFEE));
-    } else if (name == "urand") {
-        g = std::make_shared<const Csr>(
-            makeUniformGraph(1u << 19, 8, 0xBEEF));
-    } else if (name == "road") {
-        g = std::make_shared<const Csr>(makeRoadGraph(768, 512, 0xF00D));
-    } else if (name == "twitter") {
-        // Denser power law: fewer nodes, heavier hubs (Twitter-like).
-        g = std::make_shared<const Csr>(
-            makeKronGraph(1u << 18, 16, 0x717717));
-    } else if (name == "web") {
-        // Sparser, larger crawl-like graph.
-        g = std::make_shared<const Csr>(makeKronGraph(1u << 19, 6, 0x3EB));
-    } else {
-        throw verify::SimError(verify::ErrorKind::Config, "sharedGraph",
-                               "unknown graph: '" + name + "'");
+    for (GraphSlot &slot : graphSlots) {
+        if (name != slot.name)
+            continue;
+        std::lock_guard<std::mutex> lock(slot.mutex);
+        if (!slot.graph)
+            slot.graph = std::make_shared<const Csr>(slot.build());
+        return slot.graph;
     }
-    cache.emplace(name, g);
-    return g;
+    throw verify::SimError(verify::ErrorKind::Config, "registryGraph",
+                           "unknown graph: '" + name + "'");
 }
+
+namespace
+{
 
 std::vector<Workload>
 buildRegistry()
@@ -240,17 +249,16 @@ buildRegistry()
     // Larger-than-LLC graphs: property arrays of 4 MB+ and edge arrays
     // of 16 MB+ keep the gathers DRAM-resident, as with the paper's
     // graph inputs.
-    const char *graphs[] = {"kron", "urand", "road", "twitter", "web"};
     std::uint64_t gap_seed = 200;
     for (const auto &k : kernels) {
-        for (const char *gname : graphs) {
-            std::string name = std::string(k.tag) + "-" + gname;
+        for (const GraphSlot &slot : graphSlots) {
+            std::string name = std::string(k.tag) + "-" + slot.name;
             GapKernel kern = k.k;
-            std::string graph_name = gname;
+            std::string graph_name = slot.name;
             std::uint64_t seed = ++gap_seed;
             w.push_back({name, "gap", [kern, graph_name, seed] {
                 return std::make_unique<GapGen>(kern,
-                                                sharedGraph(graph_name),
+                                                registryGraph(graph_name),
                                                 seed);
             }});
         }

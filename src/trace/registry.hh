@@ -18,6 +18,8 @@
 namespace berti
 {
 
+struct Csr;
+
 /** A named, reproducible workload. */
 struct Workload
 {
@@ -33,6 +35,14 @@ struct Workload
      */
     std::uint64_t contentHash = 0;
 };
+
+/**
+ * One of the registry's shared GAP input graphs ("kron", "urand",
+ * "road", "twitter", "web"), built on first use and shared by every
+ * kernel workload over it. Throws verify::SimError(ErrorKind::Config)
+ * for any other name.
+ */
+std::shared_ptr<const Csr> registryGraph(const std::string &name);
 
 /** Every registered workload, in a stable order. */
 const std::vector<Workload> &allWorkloads();

@@ -12,15 +12,20 @@
  * resulting JSON files together with the change that justified them.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/experiment.hh"
 #include "obs/export.hh"
 #include "sim/options.hh"
+#include "sim/serialize.hh"
+#include "trace/graph.hh"
 #include "trace/registry.hh"
 #include "verify/sim_error.hh"
 
@@ -201,6 +206,111 @@ TEST(GoldenSchema, GoldensRoundTripAtCurrentVersion)
             FAIL() << error;
         EXPECT_EQ(obs::toJson(*snap), obs::readFile(path)) << path;
         EXPECT_GT(snap->size(), 50u) << path;
+    }
+}
+
+// ---------------------------------------------------- workload identity
+
+/** Instructions of each registered workload the identity table hashes. */
+constexpr int kIdentityInstructions = 20000;
+
+const char *const kIdentityTable = BERTI_GOLDEN_DIR "/workload_hashes.txt";
+
+std::string
+hex64(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** FNV-1a over every field of a workload's first instructions. */
+std::uint64_t
+workloadHash(const Workload &w)
+{
+    auto gen = w.make();
+    sim::Fnv64 h;
+    for (int i = 0; i < kIdentityInstructions; ++i) {
+        TraceInstr in = gen->next();
+        h.add(in.ip);
+        h.add(in.load0);
+        h.add(in.load1);
+        h.add(in.store);
+        h.add(static_cast<std::uint64_t>(in.isBranch));
+        h.add(static_cast<std::uint64_t>(in.taken));
+        h.add(static_cast<std::uint64_t>(in.dependsOnPrevLoad));
+    }
+    return h.value();
+}
+
+/** FNV-1a over a graph's node count and its rowPtr and col arrays. */
+std::uint64_t
+graphHash(const Csr &g)
+{
+    sim::Fnv64 h;
+    h.add(g.numNodes);
+    h.add(g.rowPtr.size());
+    h.addBytes(g.rowPtr.data(), g.rowPtr.size() * sizeof(g.rowPtr[0]));
+    h.add(g.col.size());
+    h.addBytes(g.col.data(), g.col.size() * sizeof(g.col[0]));
+    return h.value();
+}
+
+/** One "<key> <hash>" line per registered workload, then one per
+ *  registry graph ("graph:<name>"), in registry order. */
+std::string
+identityTable()
+{
+    std::ostringstream out;
+    for (const Workload &w : allWorkloads())
+        out << w.name << " " << hex64(workloadHash(w)) << "\n";
+    for (const char *g : {"kron", "urand", "road", "twitter", "web"})
+        out << "graph:" << g << " " << hex64(graphHash(*registryGraph(g)))
+            << "\n";
+    return out.str();
+}
+
+std::map<std::string, std::string>
+parseTable(const std::string &text)
+{
+    std::map<std::string, std::string> rows;
+    std::istringstream in(text);
+    std::string key, hash;
+    while (in >> key >> hash)
+        rows[key] = hash;
+    return rows;
+}
+
+/**
+ * Every registered workload's instruction stream and every registry
+ * graph is pinned by hash. Workload construction may get faster; it
+ * may not change one address, flag or edge. The bc-* rows equal the
+ * bfs-* rows today and are recorded as they are.
+ */
+TEST(WorkloadIdentity, StreamsAndRegistryGraphsMatchTable)
+{
+    std::string actual = identityTable();
+    if (updateMode()) {
+        obs::writeFile(kIdentityTable, actual);
+        GTEST_SKIP() << "updated " << kIdentityTable;
+    }
+    std::string text;
+    try {
+        text = obs::readFile(kIdentityTable);
+    } catch (const verify::SimError &e) {
+        FAIL() << "missing identity table " << kIdentityTable << ": "
+               << e.reason() << " — run tools/update_goldens.sh";
+    }
+    auto want = parseTable(text);
+    auto got = parseTable(actual);
+    EXPECT_EQ(want.size(), got.size());
+    for (const auto &[key, hash] : got) {
+        auto it = want.find(key);
+        if (it == want.end())
+            ADD_FAILURE() << key << " has no row in " << kIdentityTable;
+        else
+            EXPECT_EQ(it->second, hash) << key << " changed";
     }
 }
 

@@ -100,13 +100,14 @@ TEST(ParallelMatrix, OrderedBySpecThenWorkload)
 
 TEST(ParallelMatrix, ConcurrentSharedGraphBuildIsSafeAndIdentical)
 {
-    // Four GAP kernels over the same graph: the workers race to build
-    // the registry's shared "urand" Csr on first use. The parallel run
-    // goes first so the build itself happens under contention (TSan
-    // covers this test in CI).
+    // GAP kernels over two different graphs: the workers race to build
+    // the registry's shared "urand" and "road" Csrs on first use, each
+    // graph under its own lock. The parallel run goes first so both
+    // builds happen under contention (TSan covers this test in CI).
     std::vector<Workload> workloads = {
-        findWorkload("bfs-urand"), findWorkload("pr-urand"),
-        findWorkload("cc-urand"), findWorkload("sssp-urand")};
+        findWorkload("bfs-urand"), findWorkload("bfs-road"),
+        findWorkload("pr-urand"),  findWorkload("pr-road"),
+        findWorkload("cc-urand"),  findWorkload("sssp-urand")};
     SimParams p;
     p.warmupInstructions = 2000;
     p.measureInstructions = 8000;
@@ -117,6 +118,19 @@ TEST(ParallelMatrix, ConcurrentSharedGraphBuildIsSafeAndIdentical)
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         EXPECT_EQ(resultJson(serial[0][w]), resultJson(par[0][w]))
             << workloads[w].name;
+    }
+    // Every kernel over one graph shares the one build.
+    EXPECT_EQ(registryGraph("road").get(), registryGraph("road").get());
+}
+
+TEST(ParallelMatrix, UnknownRegistryGraphThrowsTyped)
+{
+    try {
+        registryGraph("no-such-graph");
+        FAIL() << "expected verify::SimError";
+    } catch (const verify::SimError &e) {
+        EXPECT_EQ(e.kind(), verify::ErrorKind::Config);
+        EXPECT_NE(e.reason().find("no-such-graph"), std::string::npos);
     }
 }
 

@@ -22,6 +22,11 @@ done
 BERTI_UPDATE_GOLDENS=1 "$build/tests/test_golden" \
     --gtest_filter='Matrix/GoldenTest.*'
 
+# The workload-identity table (workload_hashes.txt): hashes of every
+# registered workload's first instructions and of the registry graphs.
+BERTI_UPDATE_GOLDENS=1 "$build/tests/test_golden" \
+    --gtest_filter='WorkloadIdentity.*'
+
 # The sampled-interval sidecars (*.sampled.json) live in the same
 # directory and regenerate the same way.
 BERTI_UPDATE_GOLDENS=1 "$build/tests/test_sampling" \
