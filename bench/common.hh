@@ -1,15 +1,14 @@
 /**
  * @file
- * Shared plumbing for the bench binaries: default simulation lengths,
- * suite shortcuts, result matrices and normalisation helpers. Each
- * bench regenerates one table or figure of the paper.
+ * Shared plumbing for the figure driver (figures.cpp): default
+ * simulation lengths, the spec x workload matrix runner with its stats
+ * sidecars, and the suite reducers the figure columns are built from.
  */
 
 #ifndef BERTI_BENCH_COMMON_HH
 #define BERTI_BENCH_COMMON_HH
 
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
 #include <map>
 #include <string>
@@ -31,67 +30,10 @@ namespace berti::bench
 /** The typed error for a command-line argument a bench does not take:
  *  a typo must fail loudly, not run the bench with its defaults. */
 [[noreturn]] inline void
-rejectArgument(const char *bench, const std::string &arg)
+rejectArgument(const std::string &bench, const std::string &arg)
 {
     throw verify::SimError(verify::ErrorKind::Config, bench,
                            "unknown argument \"" + arg + "\"");
-}
-
-/** Environment plus SimOptions flags for a bench that takes no other
- *  argument; anything else is rejected by rejectArgument. */
-inline sim::SimOptions
-parseOptions(int argc, char **argv)
-{
-    sim::SimOptions opt = sim::SimOptions::fromEnvAndArgs(argc, argv);
-    if (argc > 1)
-        rejectArgument(argv[0], argv[1]);
-    return opt;
-}
-
-/**
- * When the options name a stats directory (BERTI_STATS_DIR or
- * --stats-dir=), write one machine-diffable JSON sidecar per
- * (spec, workload) cell — <dir>/<spec>__<workload>.json in the stable
- * resultSnapshot() schema. Colliding sanitized names get a numeric
- * suffix so no cell silently overwrites another. Called by
- * runSpecMatrix after the pool joins, so results arrive in input order
- * and the sidecar set is identical for every job count. A non-empty
- * subdir nests the sidecars one level down (fig16, fig17 and fig24
- * keep one subdirectory per memory backend so identical spec x
- * workload cells from different backends never collide).
- */
-inline void
-writeStatsSidecars(const sim::SimOptions &opt,
-                   const std::vector<Workload> &workloads,
-                   const std::vector<PrefetcherSpec> &specs,
-                   const std::vector<std::vector<SimResult>> &grid,
-                   const std::string &subdir = "")
-{
-    std::string dir = opt.statsDir;
-    if (dir.empty())
-        return;
-    if (!subdir.empty())
-        dir += "/" + obs::sanitizeLabel(subdir);
-    // A bench killed mid-write leaves a *.json.tmp staging file behind
-    // (writeFile renames only on success); sweep them before writing so
-    // the sidecar directory holds nothing but complete documents.
-    std::size_t stale = obs::removeStaleTempFiles(dir);
-    if (stale > 0) {
-        std::cerr << "stats: removed " << stale
-                  << " stale .tmp file(s) from " << dir << "\n";
-    }
-    std::map<std::string, unsigned> used;
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        for (std::size_t w = 0; w < workloads.size(); ++w) {
-            std::string stem = obs::sanitizeLabel(specs[s].name) + "__" +
-                               obs::sanitizeLabel(workloads[w].name);
-            unsigned n = used[stem]++;
-            if (n > 0)
-                stem += "." + std::to_string(n);
-            obs::writeFile(dir + "/" + stem + ".json",
-                           obs::toJson(resultSnapshot(grid[s][w])));
-        }
-    }
 }
 
 /**
@@ -139,24 +81,22 @@ defaultParams(const sim::SimOptions &opt)
     return p;
 }
 
-/** The options' memory backend (default dram:ddr4) at one DRAM data
- *  rate — Figures 16-17's sweep. The last mtps= in a spec wins, so any
- *  backend the options name takes the swept rate. */
-inline std::string
-backendAtRate(const sim::SimOptions &opt, unsigned mtps)
-{
-    const std::string base =
-        opt.memBackend.empty() ? mem::kDefaultBackendSpec : opt.memBackend;
-    return base + ";mtps=" + std::to_string(mtps);
-}
-
 /**
  * Run every (spec, workload) cell through runSupervisedMatrix on the
  * options' pool size (BERTI_JOBS / --jobs, else hardware_concurrency),
- * with thread-safe progress on stderr, then write the stats sidecars.
- * out[s][w] corresponds to specs[s] on workloads[w]; ordering matches
- * the inputs regardless of thread count. Each cell runs once: a failure
- * rethrows the lowest-index failed cell's original exception.
+ * with thread-safe progress on stderr. out[s][w] corresponds to
+ * specs[s] on workloads[w]; ordering matches the inputs regardless of
+ * thread count. Each cell runs once: a failure rethrows the
+ * lowest-index failed cell's original exception.
+ *
+ * When the options name a stats directory (BERTI_STATS_DIR or
+ * --stats-dir=), each cell also gets a machine-diffable JSON sidecar,
+ * <dir>/<spec>__<workload>.json in the stable resultSnapshot() schema,
+ * written after the pool joins so the set is identical for every job
+ * count. Colliding sanitized names get a numeric suffix so no cell
+ * silently overwrites another. A non-empty sidecarSubdir nests them one
+ * level down (the backend sweeps keep one subdirectory per backend, so
+ * identical cells from different backends never collide).
  */
 inline std::vector<std::vector<SimResult>>
 runSpecMatrix(const sim::SimOptions &opt,
@@ -171,31 +111,54 @@ runSpecMatrix(const sim::SimOptions &opt,
     sup.progress = stderrProgress(label);
     auto grid =
         harness::runSupervisedMatrix(workloads, specs, params, sup).results();
-    writeStatsSidecars(opt, workloads, specs, grid, sidecarSubdir);
+    std::string dir = opt.statsDir;
+    if (dir.empty())
+        return grid;
+    if (!sidecarSubdir.empty())
+        dir += "/" + obs::sanitizeLabel(sidecarSubdir);
+    // A bench killed mid-write leaves a *.json.tmp staging file behind
+    // (writeFile renames only on success); sweep them before writing so
+    // the sidecar directory holds nothing but complete documents.
+    std::size_t stale = obs::removeStaleTempFiles(dir);
+    if (stale > 0) {
+        std::cerr << "stats: removed " << stale
+                  << " stale .tmp file(s) from " << dir << "\n";
+    }
+    std::map<std::string, unsigned> used;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            std::string stem = obs::sanitizeLabel(specs[s].name) + "__" +
+                               obs::sanitizeLabel(workloads[w].name);
+            unsigned n = used[stem]++;
+            if (n > 0)
+                stem += "." + std::to_string(n);
+            obs::writeFile(dir + "/" + stem + ".json",
+                           obs::toJson(resultSnapshot(grid[s][w])));
+        }
+    }
     return grid;
 }
 
-/** spec-name -> per-workload results (runSpecMatrix over makeSpec of
- *  each name; sidecarSubdir as there). */
-inline std::map<std::string, std::vector<SimResult>>
-runMatrix(const sim::SimOptions &opt, const std::vector<Workload> &workloads,
-          const std::vector<std::string> &spec_names,
-          const SimParams &params, const std::string &sidecarSubdir = "")
+/**
+ * Indices of the suite's workloads ("" selects every workload). A
+ * suite that selects none is a typed Config error naming it: an empty
+ * mean or ratio would otherwise print as a plausible 0.0.
+ */
+inline std::vector<std::size_t>
+selectSuite(const std::vector<Workload> &workloads, const std::string &suite,
+            const char *reducer)
 {
-    std::vector<PrefetcherSpec> specs;
-    specs.reserve(spec_names.size());
-    for (const auto &name : spec_names)
-        specs.push_back(makeSpec(name));
-
-    auto grid = runSpecMatrix(opt, workloads, specs, params,
-                              std::to_string(spec_names.size()) +
-                                  " specs x " +
-                                  std::to_string(workloads.size()) +
-                                  " workloads",
-                              sidecarSubdir);
-    std::map<std::string, std::vector<SimResult>> out;
-    for (std::size_t s = 0; s < specs.size(); ++s)
-        out.emplace(spec_names[s], std::move(grid[s]));
+    std::vector<std::size_t> out;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        if (suite.empty() || workloads[i].suite == suite)
+            out.push_back(i);
+    }
+    if (out.empty()) {
+        throw verify::SimError(
+            verify::ErrorKind::Config, reducer,
+            "suite \"" + suite + "\" selects none of the " +
+                std::to_string(workloads.size()) + " workloads");
+    }
     return out;
 }
 
@@ -208,11 +171,9 @@ suiteSpeedup(const std::vector<Workload> &workloads,
              const std::string &suite)
 {
     std::vector<SimResult> t, b;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (suite.empty() || workloads[i].suite == suite) {
-            t.push_back(test[i]);
-            b.push_back(baseline[i]);
-        }
+    for (std::size_t i : selectSuite(workloads, suite, "suiteSpeedup")) {
+        t.push_back(test[i]);
+        b.push_back(baseline[i]);
     }
     return speedupGeomean(t, b);
 }
@@ -224,21 +185,36 @@ suiteMean(const std::vector<Workload> &workloads,
           const std::vector<SimResult> &results, const std::string &suite,
           Fn metric)
 {
+    auto selected = selectSuite(workloads, suite, "suiteMean");
     double sum = 0.0;
-    unsigned n = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (suite.empty() || workloads[i].suite == suite) {
-            sum += metric(results[i]);
-            ++n;
-        }
+    for (std::size_t i : selected)
+        sum += metric(results[i]);
+    return sum / static_cast<double>(selected.size());
+}
+
+/** suiteMean of test over that of baseline; a baseline mean of 0 is a
+ *  typed Config error, not a normalised 0.0. */
+template <typename Fn>
+double
+suiteMeanRatio(const std::vector<Workload> &workloads,
+               const std::vector<SimResult> &test,
+               const std::vector<SimResult> &baseline,
+               const std::string &suite, Fn metric)
+{
+    double base = suiteMean(workloads, baseline, suite, metric);
+    if (!(base > 0.0)) {
+        throw verify::SimError(verify::ErrorKind::Config, "suiteMeanRatio",
+                               "baseline mean over suite \"" + suite +
+                                   "\" is " + std::to_string(base) +
+                                   ", nothing to normalise to");
     }
-    return n ? sum / n : 0.0;
+    return suiteMean(workloads, test, suite, metric) / base;
 }
 
 /**
  * Fills-weighted suite prefetch accuracy: total useful / total fills
  * at the given level (so workloads whose prefetches all landed one
- * level down do not contribute spurious zeros).
+ * level down do not contribute spurious zeros). No fills is 0.
  */
 inline double
 suiteAccuracy(const std::vector<Workload> &workloads,
@@ -246,11 +222,8 @@ suiteAccuracy(const std::vector<Workload> &workloads,
               const std::string &suite, bool l2 = false)
 {
     double useful = 0, fills = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (!suite.empty() && workloads[i].suite != suite)
-            continue;
-        const CacheStats &c =
-            l2 ? results[i].roi.l2 : results[i].roi.l1d;
+    for (std::size_t i : selectSuite(workloads, suite, "suiteAccuracy")) {
+        const CacheStats &c = l2 ? results[i].roi.l2 : results[i].roi.l1d;
         useful += static_cast<double>(c.prefetchUseful);
         fills += static_cast<double>(c.prefetchFills);
     }
@@ -264,26 +237,12 @@ suiteLateFraction(const std::vector<Workload> &workloads,
                   const std::string &suite)
 {
     double late = 0, fills = 0;
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-        if (!suite.empty() && workloads[i].suite != suite)
-            continue;
+    for (std::size_t i :
+         selectSuite(workloads, suite, "suiteLateFraction")) {
         late += static_cast<double>(results[i].roi.l1d.prefetchLate);
         fills += static_cast<double>(results[i].roi.l1d.prefetchFills);
     }
     return fills > 0 ? late / fills : 0.0;
-}
-
-/** Sum of traffic (reads forwarded + writebacks) out of a level. */
-inline double
-trafficBelow(const CacheStats &c)
-{
-    return static_cast<double>(c.requestsBelow + c.writebacks);
-}
-
-inline double
-storageKb(const std::string &spec_name)
-{
-    return static_cast<double>(makeSpec(spec_name).storageBits) / 8192.0;
 }
 
 } // namespace berti::bench

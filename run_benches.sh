@@ -1,7 +1,9 @@
 #!/bin/sh
-# Run every bench binary, one output file per bench under results/.
-# Resumable: benches with a results file are skipped, so the script can
-# be re-invoked until it prints ALL_BENCHES_DONE.
+# Run every figure of build/bench/figures (one per name that
+# `figures --list` prints), one output file per figure under results/,
+# then the prefetcher microbenchmarks. Resumable: figures with a results
+# file are skipped, so the script can be re-invoked until it prints
+# ALL_BENCHES_DONE.
 #
 # A bench's output is written to a temp file and only moved into
 # results/ when the bench exits 0, so a crashed or interrupted bench is
@@ -9,7 +11,7 @@
 # passes the resume check. Stderr (progress + crash reports) is kept in
 # results/log/<bench>.stderr for postmortems.
 #
-# The bench binaries fan (workload, spec) cells out over a worker pool;
+# The figures fan (workload, spec) cells out over a worker pool;
 # BERTI_JOBS caps the pool (default: all hardware threads).
 #
 # Sampled mode: set BERTI_SAMPLE_WINDOWS=N (plus optionally
@@ -34,21 +36,21 @@ mkdir -p "$results" "$results/log"
 # the .tmp suffix, so this only ever removes torn partials.
 find "$results" -name '*.tmp' -type f -exec rm -f {} + 2>/dev/null
 failed=""
-for b in build/bench/*; do
-    n=$(basename "$b")
-    { [ -f "$b" ] && [ -x "$b" ]; } || continue
-    [ "$n" = "micro_prefetchers" ] && continue
-    [ "$n" = "perf_simspeed" ] && continue
+if ! names=$(./build/bench/figures --list); then
+    echo "FAILED_BENCHES: figures --list"
+    exit 1
+fi
+for n in $names; do
     [ -s "$results/$n.txt" ] && continue
     echo "=== $n start $(date +%T) (BERTI_JOBS=$BERTI_JOBS)"
     tmp="$results/.$n.txt.tmp"
     # Machine-diffable JSON stats sidecars, one per (spec, workload)
-    # cell, next to the human-readable table output. fig24_mem_backends
-    # nests one subdirectory per memory backend in here, so its
-    # identically-named spec x workload cells never collide.
+    # cell, next to the human-readable table output. Figures that sweep
+    # the memory backend (fig16, fig17, fig24) nest one subdirectory per
+    # backend in here, so identically-named cells never collide.
     BERTI_STATS_DIR="$results/stats/$n"
     export BERTI_STATS_DIR
-    if "./build/bench/$n" > "$tmp" 2> "$results/log/$n.stderr"; then
+    if ./build/bench/figures "$n" > "$tmp" 2> "$results/log/$n.stderr"; then
         mv "$tmp" "$results/$n.txt"
         echo "=== $n done $(date +%T)"
     else
@@ -58,22 +60,6 @@ for b in build/bench/*; do
         echo "=== $n FAILED rc=$rc $(date +%T) (see $results/log/$n.stderr)"
     fi
 done
-# Simulator-speed harness: human table to $results/perf_simspeed.txt plus
-# the JSON artifact, collected via temp-file+mv so an interrupted run
-# never leaves a partial BENCH_simspeed.json behind.
-if [ ! -s "$results/BENCH_simspeed.json" ]; then
-    tmp="$results/.perf_simspeed.txt.tmp"
-    tmpjson="$results/.BENCH_simspeed.json.tmp"
-    if ./build/bench/perf_simspeed "--out=$tmpjson" > "$tmp" \
-        2> "$results/log/perf_simspeed.stderr"; then
-        mv "$tmpjson" "$results/BENCH_simspeed.json"
-        mv "$tmp" "$results/perf_simspeed.txt"
-    else
-        rm -f "$tmp" "$tmpjson"
-        failed="$failed perf_simspeed"
-        echo "=== perf_simspeed FAILED (see $results/log/perf_simspeed.stderr)"
-    fi
-fi
 if [ ! -s "$results/micro_prefetchers.txt" ]; then
     tmp="$results/.micro_prefetchers.txt.tmp"
     if ./build/bench/micro_prefetchers --benchmark_min_time=0.1 \

@@ -1,10 +1,11 @@
 /** @file Harness tests: spec parsing, table printing, simulation
- *  determinism. */
+ *  determinism, and the suite reducers the figures are built from. */
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common.hh"
 #include "harness/experiment.hh"
 #include "harness/result_store.hh"
 #include "harness/table.hh"
@@ -260,6 +261,67 @@ TEST(SpeedupGeomean, SizeMismatchIsHardError)
         EXPECT_EQ(e.kind(), verify::ErrorKind::Config);
         EXPECT_NE(e.reason().find("mismatch"), std::string::npos);
     }
+}
+
+// ======================================================= suite reducers
+
+/** Two "spec" workloads and one "gap"; no "cloud" workload. */
+std::vector<Workload>
+reducerWorkloads()
+{
+    std::vector<Workload> w(3);
+    w[0].suite = w[1].suite = "spec";
+    w[2].suite = "gap";
+    return w;
+}
+
+/** Expects a typed Config error whose reason names `what`. */
+template <typename Fn>
+void
+expectConfigError(Fn fn, const std::string &what)
+{
+    try {
+        fn();
+        FAIL() << "expected verify::SimError naming " << what;
+    } catch (const verify::SimError &e) {
+        EXPECT_EQ(e.kind(), verify::ErrorKind::Config);
+        EXPECT_NE(e.reason().find(what), std::string::npos) << e.reason();
+    }
+}
+
+TEST(SuiteReducers, SuiteSelectingNoWorkloadIsHardError)
+{
+    // An empty suite used to reduce to a plausible 0.0.
+    const auto w = reducerWorkloads();
+    std::vector<SimResult> r(3);
+    for (SimResult &x : r)
+        x.ipc = 1.0;
+    auto ipc = [](const SimResult &x) { return x.ipc; };
+    expectConfigError([&] { bench::suiteMean(w, r, "cloud", ipc); },
+                      "\"cloud\"");
+    expectConfigError([&] { bench::suiteAccuracy(w, r, "cloud"); },
+                      "\"cloud\"");
+    expectConfigError([&] { bench::suiteLateFraction(w, r, "cloud"); },
+                      "\"cloud\"");
+    expectConfigError([&] { bench::suiteSpeedup(w, r, r, "cloud"); },
+                      "\"cloud\"");
+    EXPECT_DOUBLE_EQ(bench::suiteMean(w, r, "gap", ipc), 1.0);
+}
+
+TEST(SuiteReducers, ZeroBaselineMeanIsHardError)
+{
+    // A normalised column used to print 0.0 over a zero baseline.
+    const auto w = reducerWorkloads();
+    std::vector<SimResult> test(3), base(3);
+    test[0].ipc = 2.0;
+    test[1].ipc = 4.0;
+    base[0].ipc = 1.0;
+    base[1].ipc = 1.0;
+    auto ipc = [](const SimResult &x) { return x.ipc; };
+    EXPECT_DOUBLE_EQ(bench::suiteMeanRatio(w, test, base, "spec", ipc), 3.0);
+    expectConfigError(
+        [&] { bench::suiteMeanRatio(w, test, base, "gap", ipc); },
+        "\"gap\"");
 }
 
 } // namespace berti
