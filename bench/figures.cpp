@@ -307,11 +307,9 @@ fig03(const Run &run, const sim::SimOptions &opt)
     std::unique_ptr<Machine> machines[2];
     forEachIndexParallel(2, [&](std::size_t i) {
         gens[i] = w.make();
-        MachineConfig cfg = MachineConfig::sunnyCove(1);
-        cfg.applyOptions(opt);
-        cfg.l1dPrefetcher = run.fig.specs[i].spec.l1d;
         machines[i] = std::make_unique<Machine>(
-            cfg, std::vector<TraceGenerator *>{gens[i].get()});
+            machineConfigFor(run.fig.specs[i].spec, params, 1),
+            std::vector<TraceGenerator *>{gens[i].get()});
         machines[i]->run(params.warmupInstructions +
                          params.measureInstructions);
     });

@@ -22,7 +22,8 @@ bitsOf(const PrefetcherFactory &f)
     return f ? f()->storageBits() : 0;
 }
 
-/** The Table II machine configured for one simulation call. */
+} // namespace
+
 MachineConfig
 machineConfigFor(const PrefetcherSpec &spec, const SimParams &params,
                  unsigned cores)
@@ -42,6 +43,9 @@ machineConfigFor(const PrefetcherSpec &spec, const SimParams &params,
     cfg.wallClockBudgetMs = params.wallClockBudgetMs;
     return cfg;
 }
+
+namespace
+{
 
 /** Derive ipc + energy from an already-filled ROI. */
 SimResult

@@ -219,6 +219,17 @@ struct SampledResult
 };
 
 /**
+ * The Table II machine with `cores` cores configured for one simulation
+ * call: the spec's prefetchers, the memory backend parsed from
+ * params.memBackend ("" = dram:ddr4), forceAudit, fault injection and
+ * the wall-clock budget. The one mapping from options to a Machine:
+ * options reach it through SimParams::applyOptions. An unknown backend
+ * spec throws verify::SimError(ErrorKind::Config) naming the string.
+ */
+MachineConfig machineConfigFor(const PrefetcherSpec &spec,
+                               const SimParams &params, unsigned cores);
+
+/**
  * Run one workload on the Table II machine with the given spec. When
  * params.sampling is enabled this is simulateSampled(...).aggregate —
  * every caller of simulate() (benches, the supervisor) gets windowed

@@ -68,18 +68,6 @@ MachineConfig::sunnyCove(unsigned cores)
     return m;
 }
 
-void
-MachineConfig::applyOptions(const sim::SimOptions &opt)
-{
-    audit = verify::AuditConfig::fromOptions(opt);
-    cycleSkip = opt.cycleSkip;
-    if (!opt.memBackend.empty()) {
-        mem::ParsedBackend backend = mem::parseBackendSpec(opt.memBackend);
-        dram = backend.channel;
-        memBackend = backend.sel;
-    }
-}
-
 Machine::Machine(const MachineConfig &config,
                  std::vector<TraceGenerator *> generators)
     : cfg(config), gens(generators),

@@ -59,8 +59,9 @@ struct MachineConfig
      * and the channel count the Machine builds (1 = a single Dram,
      * exactly the historical machine; > 1 = a line-interleaved
      * MultiChannelDram). Resolve both fields together from a spec
-     * string via applyOptions() or mem::parseBackendSpec — setting
-     * `dram` by hand on a single-channel machine also keeps working.
+     * string via machineConfigFor (harness/experiment.hh) or
+     * mem::parseBackendSpec — setting `dram` by hand on a
+     * single-channel machine also keeps working.
      */
     mem::BackendSel memBackend;
     /** Test hook overriding backend construction entirely (see
@@ -103,18 +104,6 @@ struct MachineConfig
      * LLC; one DDR5-6400 channel per 4 cores.
      */
     static MachineConfig sunnyCove(unsigned cores = 1);
-
-    /**
-     * Re-derive every options-driven field (audit, cycleSkip, and —
-     * when opt.memBackend is set — the memory backend, resolved
-     * through the same mem::parseBackendSpec grammar
-     * machineConfigFor uses) from one already-parsed options value
-     * instead of the per-field environment defaults — the hook benches
-     * use to thread CLI-overridden SimOptions through to the Machine.
-     * An unknown backend spec throws
-     * verify::SimError(ErrorKind::Config) naming the string.
-     */
-    void applyOptions(const sim::SimOptions &opt);
 };
 
 class Machine

@@ -86,8 +86,12 @@ Cache::setPrefetcher(std::unique_ptr<Prefetcher> prefetcher)
 }
 
 void
-Cache::notifyAccess(const Prefetcher::AccessInfo &info)
+Cache::train(const Prefetcher::AccessInfo &info)
 {
+    if (info.type != AccessType::Load && info.type != AccessType::Rfo &&
+        !(cfg.trainOnInstrFetch && info.type == AccessType::InstrFetch))
+        return;
+    trainVLine = cfg.isL1d ? info.vLine : info.pLine;
     switch (pfDispatch) {
       case PfDispatch::None:
         break;
@@ -98,6 +102,7 @@ Cache::notifyAccess(const Prefetcher::AccessInfo &info)
         pf->onAccess(info);
         break;
     }
+    trainVLine = kNoAddr;
 }
 
 void
@@ -345,27 +350,12 @@ Cache::fastHit(Addr p_line)
     Line *l = findLine(p_line);
     if (!l)
         return false;
-    ++stats.demandAccesses;
-    ++stats.demandHits;
+    MemRequest req;
+    req.pLine = p_line;
+    req.type = AccessType::InstrFetch;
     ++stats.tagReads;
-    ++stats.dataReads;
-    Prefetcher::AccessInfo info;
-    info.pLine = p_line;
-    info.vLine = l->vLine;
-    info.type = AccessType::InstrFetch;
-    info.hit = true;
-    if (l->prefetched && !l->pfUsed) {
-        l->pfUsed = true;
-        ++stats.prefetchUseful;
-        info.firstHitOnPrefetch = true;
-    }
-    repl->onHit(setIndex(p_line),
-                static_cast<unsigned>((l - lines.data()) % cfg.ways));
-    if (cfg.trainOnInstrFetch) {
-        trainVLine = cfg.isL1d ? info.vLine : info.pLine;
-        notifyAccess(info);
-        trainVLine = kNoAddr;
-    }
+    repl->onHit(setIndex(p_line), wayOf(*l));
+    demandHit(*l, req);
     return true;
 }
 
@@ -386,8 +376,9 @@ void
 Cache::tick()
 {
     processWrites();
-    processReads();
-    processPrefetches();
+    if (!headParked)  // the head would find the MSHR file full again
+        drain(rq, cfg.maxReadsPerCycle, false);
+    drain(pq, cfg.maxPrefetchesPerCycle, true);
     retryUnsentMshrs();
     // Prefetcher tick, devirtualized like the hooks. Prefetcher::tick
     // is contractually event-driven-safe (no timed work while the cache
@@ -404,19 +395,15 @@ Cache::nextEventCycle() const
     // Pending writes and unsent MSHR retries are attempted every cycle.
     if (!wq.empty() || unsentMshrs > 0)
         return *clock + 1;
-    Cycle next = kNever;
     // Reads/prefetches are head-of-line: only the head's maturity
     // (enqueue + lookup latency) gates progress. A parked read head is
     // mature, so it stays due next cycle like any blocked head.
-    if (!rq.empty()) {
-        Cycle ready = rq.front().enqueueCycle + cfg.latency;
-        next = std::min(next, std::max(ready, *clock + 1));
-    }
-    if (!pq.empty()) {
-        Cycle ready = pq.front().enqueueCycle + cfg.latency;
-        next = std::min(next, std::max(ready, *clock + 1));
-    }
-    return next;
+    auto head = [this](const RingQueue<MemRequest> &q) {
+        return q.empty() ? kNever
+                         : std::max(q.front().enqueueCycle + cfg.latency,
+                                    *clock + 1);
+    };
+    return std::min(head(rq), head(pq));
 }
 
 void
@@ -429,9 +416,7 @@ Cache::processWrites()
         if (Line *l = findLine(p_line)) {
             l->dirty = true;
             ++stats.dataWrites;
-            repl->onHit(setIndex(p_line),
-                        static_cast<unsigned>(
-                            (l - lines.data()) % cfg.ways));
+            repl->onHit(setIndex(p_line), wayOf(*l));
         } else {
             // Non-inclusive write-allocate: the upper level evicted a
             // full dirty line, install it here without fetching below.
@@ -441,105 +426,49 @@ Cache::processWrites()
 }
 
 void
-Cache::processReads()
+Cache::drain(RingQueue<MemRequest> &queue, unsigned max_per_cycle,
+             bool own_prefetches)
 {
-    if (headParked)
-        return;  // the head would find the MSHR file full again
-    unsigned done = 0;
-    while (done < cfg.maxReadsPerCycle && !rq.empty()) {
-        MemRequest &req = rq.front();
-        if (req.enqueueCycle + cfg.latency > *clock)
-            break;  // models the tag/data lookup latency
-        if (!handleRead(req))
-            break;  // head-of-line blocking on MSHR/lower pressure
-        rq.pop_front();
-        ++done;
-    }
-}
-
-void
-Cache::processPrefetches()
-{
-    unsigned done = 0;
-    while (done < cfg.maxPrefetchesPerCycle && !pq.empty()) {
-        MemRequest &req = pq.front();
-        if (req.enqueueCycle + cfg.latency > *clock)
-            break;
-        if (!handlePrefetch(req))
-            break;
-        pq.pop_front();
-        ++done;
+    for (unsigned n = 0; n < max_per_cycle && !queue.empty(); ++n) {
+        // The head waits out the tag/data lookup latency; a refused head
+        // (MSHR or lower-level pressure) blocks the queue behind it.
+        if (queue.front().enqueueCycle + cfg.latency > *clock ||
+            !handle(queue.front(), own_prefetches))
+            return;
+        queue.pop_front();
     }
 }
 
 bool
-Cache::handleRead(MemRequest &req)
+Cache::handle(MemRequest &req, bool own_prefetch)
 {
     // NOTE: statistics are counted only on success exits; a false
     // return re-presents the same request next cycle (head-of-line
     // blocking) and must be side-effect free.
-    bool demand = isDemand(req.type);
-
     if (Line *l = findLine(req.pLine)) {
-        // ------------------------------------------------------- hit
         ++stats.tagReads;
-        unsigned way = static_cast<unsigned>((l - lines.data()) % cfg.ways);
-        repl->onHit(setIndex(req.pLine), way);
-        if (demand) {
-            ++stats.demandAccesses;
-            ++stats.demandHits;
-            if (req.type == AccessType::Rfo) {
-                l->dirty = true;
-                ++stats.dataWrites;
-            } else {
-                ++stats.dataReads;
-            }
-
-            Prefetcher::AccessInfo info;
-            info.vLine = l->vLine != kNoAddr ? l->vLine : req.vLine;
-            info.pLine = req.pLine;
-            info.ip = req.ip;
-            info.type = req.type;
-            info.hit = true;
-            if (l->prefetched && !l->pfUsed) {
-                l->pfUsed = true;
-                ++stats.prefetchUseful;
-                info.firstHitOnPrefetch = true;
-                info.prefetchLatency = l->pfLatency;
-                l->pfLatency = 0;  // reset after the training search
-            }
-            if (req.type == AccessType::Load ||
-                req.type == AccessType::Rfo ||
-                (cfg.trainOnInstrFetch &&
-                 req.type == AccessType::InstrFetch)) {
-                trainVLine = cfg.isL1d ? info.vLine : info.pLine;
-                notifyAccess(info);
-                trainVLine = kNoAddr;
-            }
-        } else {
-            // An in-flight prefetch from above found the line here.
-            ++stats.dataReads;
-        }
+        if (own_prefetch)
+            return true;  // redundant: the line is already here
+        repl->onHit(setIndex(req.pLine), wayOf(*l));
+        if (isDemand(req.type))
+            demandHit(*l, req);
+        else
+            ++stats.dataReads;  // a prefetch from above found the line
         if (req.client)
             req.client->readDone(req);
         return true;
     }
 
-    // ----------------------------------------------------------- miss
+    // e.g. a Berti L2-fill prefetch issued from the L1D PQ: the fill
+    // target is below this level, so pass it through without an MSHR.
     if (req.type == AccessType::Prefetch &&
-        static_cast<unsigned>(req.fillLevel) > cfg.level) {
-        // Fill target is below this level: pass through without MSHR.
-        MemRequest fwd = req;
-        fwd.client = nullptr;
-        if (!lower->submitRead(fwd))
-            return false;
-        ++stats.tagReads;
-        ++stats.requestsBelow;
-        return true;
-    }
+        static_cast<unsigned>(req.fillLevel) > cfg.level)
+        return sendBelow(req, req.fillLevel);
 
+    bool demand = isDemand(req.type);
     if (MshrEntry *e = findMshr(req.pLine)) {
-        // Merge into the outstanding miss.
+        // Merge into the outstanding miss (for an own prefetch: drop it,
+        // the line is already being fetched).
         // Merges count as accesses but not as extra misses: the miss is
         // attributed once, to the MSHR-allocating access (ChampSim
         // merges same-line requests in the queues the same way).
@@ -566,21 +495,18 @@ Cache::handleRead(MemRequest &req)
 
     MshrEntry *e = allocMshr(req.pLine);
     if (!e) {
-        // Ownerless in-flight prefetches (nobody above waits on them)
-        // are demoted below instead of head-of-line blocking the RQ.
+        // MSHRs exhausted by demand misses. A prefetch nobody above
+        // waits on is demoted one level (filled below instead) rather
+        // than head-of-line blocking its queue — the same orchestration
+        // idea as Berti's MSHR-occupancy watermark.
         if (req.type == AccessType::Prefetch && !req.client &&
-            cfg.level < 3) {
-            MemRequest fwd = req;
-            fwd.fillLevel = static_cast<FillLevel>(cfg.level + 1);
-            if (!lower->submitRead(fwd))
-                return false;
-            ++stats.tagReads;
-            ++stats.requestsBelow;
-            return true;
-        }
+            cfg.level < 3)
+            return sendBelow(req, static_cast<FillLevel>(cfg.level + 1));
         // Only a release (free MSHR) or a fill (a hit) can change this
-        // outcome; park the queue until releaseMshr/fillLine clears it.
-        headParked = true;
+        // outcome; park the read queue until releaseMshr/fillLine clears
+        // it. A refused PQ head is simply re-presented.
+        if (!own_prefetch)
+            headParked = true;
         return false;
     }
 
@@ -595,95 +521,68 @@ Cache::handleRead(MemRequest &req)
     e->hadDemand = demand;
     e->wantsDirty = req.type == AccessType::Rfo;
     e->fillLevel = req.fillLevel;
+    // A prefetch keeps its PQ-insert timestamp (paper section III-C).
     e->ts = e->isPrefetch ? req.enqueueCycle : *clock;
     if (req.client || req.instrId)
         e->waiters.push_back(req);
 
-    MemRequest fwd = req;
-    fwd.client = this;
-    e->fwd = fwd;
-    e->sentBelow = lower->submitRead(fwd);
+    e->fwd = req;
+    e->fwd.client = this;
+    e->sentBelow = lower->submitRead(e->fwd);
     if (e->sentBelow)
         ++stats.requestsBelow;
     else
         ++unsentMshrs;
 
-    if (demand && (req.type == AccessType::Load ||
-                   req.type == AccessType::Rfo ||
-                   (cfg.trainOnInstrFetch &&
-                    req.type == AccessType::InstrFetch))) {
-        Prefetcher::AccessInfo info;
-        info.vLine = req.vLine;
-        info.pLine = req.pLine;
-        info.ip = req.ip;
-        info.type = req.type;
-        info.hit = false;
-        trainVLine = cfg.isL1d ? info.vLine : info.pLine;
-        notifyAccess(info);
-        trainVLine = kNoAddr;
-    }
+    Prefetcher::AccessInfo info;
+    info.vLine = req.vLine;
+    info.pLine = req.pLine;
+    info.ip = req.ip;
+    info.type = req.type;
+    info.hit = false;
+    train(info);
     return true;
 }
 
 bool
-Cache::handlePrefetch(MemRequest &req)
+Cache::sendBelow(const MemRequest &req, FillLevel level)
 {
-    if (findLine(req.pLine)) {
-        ++stats.tagReads;
-        return true;  // already present: drop silently
-    }
-    if (findMshr(req.pLine) && static_cast<unsigned>(req.fillLevel) <=
-                                   cfg.level) {
-        ++stats.tagReads;
-        return true;  // already being fetched
-    }
-
-    if (static_cast<unsigned>(req.fillLevel) > cfg.level) {
-        // e.g. Berti L2-fill prefetch issued from the L1D PQ: hand it to
-        // the level below; it allocates its own MSHR there.
-        MemRequest fwd = req;
-        fwd.client = nullptr;
-        if (!lower->submitRead(fwd))
-            return false;
-        ++stats.tagReads;
-        ++stats.requestsBelow;
-        return true;
-    }
-
-    MshrEntry *e = allocMshr(req.pLine);
-    if (!e) {
-        // MSHRs exhausted by demand misses. Rather than head-of-line
-        // blocking the PQ behind demand pressure, demote the prefetch
-        // one level (fill below instead) — the same orchestration idea
-        // as Berti's MSHR-occupancy watermark.
-        if (cfg.level >= 3)
-            return false;
-        MemRequest fwd = req;
-        fwd.client = nullptr;
-        fwd.fillLevel = static_cast<FillLevel>(cfg.level + 1);
-        if (!lower->submitRead(fwd))
-            return false;
-        ++stats.tagReads;
-        ++stats.requestsBelow;
-        return true;
-    }
-
-    ++stats.tagReads;
-    e->vLine = req.vLine;
-    e->ip = req.ip;
-    e->isPrefetch = true;
-    e->fillLevel = req.fillLevel;
-    e->ts = req.enqueueCycle;  // PQ-insert timestamp (paper section III-C)
-
     MemRequest fwd = req;
-    fwd.client = this;
-    e->fwd = fwd;
-    e->sentBelow = lower->submitRead(fwd);
-    if (e->sentBelow)
-        ++stats.requestsBelow;
-    else
-        ++unsentMshrs;
+    fwd.client = nullptr;
+    fwd.fillLevel = level;
+    if (!lower->submitRead(fwd))
+        return false;
+    ++stats.tagReads;
+    ++stats.requestsBelow;
     return true;
+}
+
+void
+Cache::demandHit(Line &l, const MemRequest &req)
+{
+    ++stats.demandAccesses;
+    ++stats.demandHits;
+    if (req.type == AccessType::Rfo) {
+        l.dirty = true;
+        ++stats.dataWrites;
+    } else {
+        ++stats.dataReads;
+    }
+
+    Prefetcher::AccessInfo info;
+    info.vLine = l.vLine != kNoAddr ? l.vLine : req.vLine;
+    info.pLine = req.pLine;
+    info.ip = req.ip;
+    info.type = req.type;
+    info.hit = true;
+    if (l.prefetched && !l.pfUsed) {
+        l.pfUsed = true;
+        ++stats.prefetchUseful;
+        info.firstHitOnPrefetch = true;
+        info.prefetchLatency = l.pfLatency;
+        l.pfLatency = 0;  // reset after the training search
+    }
+    train(info);
 }
 
 void

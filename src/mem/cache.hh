@@ -284,19 +284,40 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     /** Wake the entry's waiters after releasing it, allocation-free. */
     void releaseAndWake(MshrEntry *e);
 
-    void notifyAccess(const Prefetcher::AccessInfo &info);
+    unsigned wayOf(const Line &l) const
+    {
+        return static_cast<unsigned>((&l - lines.data()) % cfg.ways);
+    }
+
+    /** Run the prefetcher's access hook on a Load, an Rfo, or an
+     *  InstrFetch when trainOnInstrFetch is set; other types do not
+     *  train. Prefetches it issues synchronously are classified against
+     *  info's line (see issuePrefetch). */
+    void train(const Prefetcher::AccessInfo &info);
     void notifyFill(const Prefetcher::FillInfo &info);
 
     void processWrites();
-    void processReads();
-    void processPrefetches();
     void retryUnsentMshrs();
 
-    /** Handle one RQ entry; returns false if it must stay queued. */
-    bool handleRead(MemRequest &req);
+    /** Handle up to max_per_cycle mature heads of queue (rq or pq). */
+    void drain(RingQueue<MemRequest> &queue, unsigned max_per_cycle,
+               bool own_prefetches);
 
-    /** Handle one PQ entry; returns false if it must stay queued. */
-    bool handlePrefetch(MemRequest &req);
+    /**
+     * Handle one queued request; returns false if it must stay queued.
+     * own_prefetch marks an entry of this cache's own PQ: finding its
+     * line present costs one tag read and nothing else, and a refusal
+     * never parks the read queue.
+     */
+    bool handle(MemRequest &req, bool own_prefetch);
+
+    /** Forward req without an MSHR, to fill at level; returns false if
+     *  the level below refuses it. */
+    bool sendBelow(const MemRequest &req, FillLevel level);
+
+    /** Demand-hit bookkeeping: counters, Rfo dirtying, first use of a
+     *  prefetched line and training. */
+    void demandHit(Line &l, const MemRequest &req);
 
     /** Install a line; returns the installed way's Line. */
     Line &fillLine(Addr p_line, Addr v_line, bool dirty, bool prefetched);

@@ -89,8 +89,8 @@ struct SimOptions
      * (dram:ddr4, the historical timings). Stored raw here — options
      * parsing stays layering-clean below src/mem — and validated with
      * typed errors where it is resolved
-     * (mem::parseBackendSpec via MachineConfig::applyOptions /
-     * machineConfigFor; see mem/backend_registry.hh for the grammar).
+     * (mem::parseBackendSpec via machineConfigFor; see
+     * mem/backend_registry.hh for the grammar).
      */
     std::string memBackend;
 

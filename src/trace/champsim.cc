@@ -562,31 +562,18 @@ namespace
 {
 
 std::unique_ptr<TraceSource>
-makeSource(const std::string &path, ChampSimReplayGen::SourceKind kind)
+makeSource(const std::string &path)
 {
-    using SourceKind = ChampSimReplayGen::SourceKind;
-    if (kind == SourceKind::Auto) {
-        kind = compressionForPath(path) == TraceCompression::None
-                   ? SourceKind::Mmap
-                   : SourceKind::Stream;
-    }
-    switch (kind) {
-      case SourceKind::Mmap:
+    if (compressionForPath(path) == TraceCompression::None)
         return std::make_unique<MmapTraceSource>(path);
-      case SourceKind::Preload:
-        return std::make_unique<PreloadedTraceSource>(path);
-      case SourceKind::Stream:
-      default:
-        return std::make_unique<StreamTraceSource>(path);
-    }
+    return std::make_unique<StreamTraceSource>(path);
 }
 
 } // namespace
 
 ChampSimReplayGen::ChampSimReplayGen(const std::string &path,
-                                     SourceKind kind,
                                      verify::FaultInjector *faults)
-    : source(makeSource(path, kind)), decoder(*source, faults)
+    : source(makeSource(path)), decoder(*source, faults)
 {
     // Refuse an empty or sub-record stream now, with a typed error,
     // instead of a confusing failure mid-simulation.

@@ -310,26 +310,16 @@ verify::Result<std::uint64_t> saveChampSim(const std::string &path,
 std::vector<TraceInstr> loadChampSim(const std::string &path);
 
 /**
- * TraceGenerator adapter: replays a ChampSim trace file cyclically
- * through any of the three source layers. Construction throws
- * verify::SimError(TraceIo) when the file cannot be opened, is empty,
- * or ends mid-record within the first record.
+ * TraceGenerator adapter: replays a ChampSim trace file cyclically,
+ * through the mmap source for a raw file and the streaming pipe for a
+ * compressed one. Construction throws verify::SimError(TraceIo) when
+ * the file cannot be opened, is empty, or ends mid-record within the
+ * first record.
  */
 class ChampSimReplayGen : public TraceGenerator
 {
   public:
-    /** Which source layer to decode through. Auto picks mmap for raw
-     *  files and the streaming pipe for compressed ones. */
-    enum class SourceKind : std::uint8_t
-    {
-        Auto,
-        Mmap,
-        Stream,
-        Preload
-    };
-
     explicit ChampSimReplayGen(const std::string &path,
-                               SourceKind kind = SourceKind::Auto,
                                verify::FaultInjector *faults = nullptr);
 
     TraceInstr next() override;

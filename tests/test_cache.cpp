@@ -255,6 +255,86 @@ TEST_F(CacheFixture, PrefetchToPresentLineIsDropped)
     EXPECT_EQ(mem.reads, 1u);
 }
 
+// An own-PQ prefetch and a Prefetch-type request from above take the
+// same path through Cache::handle except on a hit and on a refusal.
+
+TEST_F(CacheFixture, OwnPrefetchHitTouchesNoDataOrReplacementState)
+{
+    // Lines 0 and 4 share set 0 (two ways); 0 is the LRU way.
+    cache.submitRead(load(0, &client));
+    step(60);
+    cache.submitRead(load(4, &client));
+    step(60);
+    std::uint64_t tag_reads = cache.stats.tagReads;
+    std::uint64_t data_reads = cache.stats.dataReads;
+
+    cache.issuePrefetch(0, FillLevel::L1);
+    step(5);
+    EXPECT_EQ(cache.pqOccupancy(), 0u);
+    EXPECT_EQ(cache.stats.tagReads, tag_reads + 1);
+    EXPECT_EQ(cache.stats.dataReads, data_reads);
+
+    // Line 0 is still the LRU way, so a third line in the set evicts it.
+    cache.submitRead(load(8, &client));
+    step(60);
+    EXPECT_FALSE(cache.probe(0));
+    EXPECT_TRUE(cache.probe(4));
+    EXPECT_TRUE(cache.probe(8));
+}
+
+TEST_F(CacheFixture, PrefetchFromAboveHitReadsDataAndWakesClient)
+{
+    cache.submitRead(load(1000, &client));
+    step(60);
+    client.done.clear();
+    std::uint64_t data_reads = cache.stats.dataReads;
+    std::uint64_t demand_hits = cache.stats.demandHits;
+
+    MemRequest pf;
+    pf.pLine = 1000;
+    pf.type = AccessType::Prefetch;
+    pf.client = &client;
+    ASSERT_TRUE(cache.submitRead(pf));
+    step(5);
+    ASSERT_EQ(client.done.size(), 1u);
+    EXPECT_EQ(client.done[0].type, AccessType::Prefetch);
+    EXPECT_EQ(cache.stats.dataReads, data_reads + 1);
+    EXPECT_EQ(cache.stats.demandHits, demand_hits);  // not a demand
+}
+
+TEST(CacheLlc, RefusedOwnPrefetchNeverParksTheReadQueue)
+{
+    Cycle clock = 0;
+    CacheConfig cfg = smallConfig();
+    cfg.level = 3;  // an LLC cannot demote, so a full MSHR file refuses
+    Cache llc(cfg, &clock);
+    TestMemory mem(&clock, 50);
+    CollectingClient client;
+    llc.setLower(&mem);
+    for (Addr a = 0; a < cfg.mshrs; ++a)
+        llc.submitRead(load(a * 16, &client));
+    stepCycles(clock, llc, mem, 4);
+    ASSERT_EQ(llc.mshrsInUse(), cfg.mshrs);
+
+    llc.issuePrefetch(999, FillLevel::L1);
+    stepCycles(clock, llc, mem, 5);
+    EXPECT_EQ(llc.pqOccupancy(), 1u);  // refused, still queued
+    EXPECT_FALSE(llc.readHeadParked());
+
+    // A refused read head does park, and the PQ head refused in the
+    // same cycles leaves it parked.
+    llc.submitRead(load(998, &client));
+    stepCycles(clock, llc, mem, 5);
+    EXPECT_TRUE(llc.readHeadParked());
+    EXPECT_EQ(llc.pqOccupancy(), 1u);
+
+    stepCycles(clock, llc, mem, 150);  // fills free the MSHRs
+    EXPECT_FALSE(llc.readHeadParked());
+    EXPECT_EQ(llc.pqOccupancy(), 0u);
+    EXPECT_TRUE(llc.probe(999));
+    EXPECT_TRUE(llc.probe(998));
+}
+
 TEST_F(CacheFixture, DeeperFillLevelPassesThrough)
 {
     // An L2-targeted prefetch issued at an L1 cache must not fill here.

@@ -303,6 +303,40 @@ sameInstr(const TraceInstr &a, const TraceInstr &b)
            a.dependsOnPrevLoad == b.dependsOnPrevLoad;
 }
 
+/** The three source layers: 0 mmap, 1 stream, 2 preload. */
+std::unique_ptr<TraceSource>
+makeSourceLayer(const std::string &path, int layer)
+{
+    if (layer == 0)
+        return std::make_unique<MmapTraceSource>(path);
+    if (layer == 1)
+        return std::make_unique<StreamTraceSource>(path);
+    return std::make_unique<PreloadedTraceSource>(path);
+}
+
+/** Cyclic replay through one given source layer. */
+class SourceReplayGen : public TraceGenerator
+{
+  public:
+    explicit SourceReplayGen(std::unique_ptr<TraceSource> src)
+        : source(std::move(src)), decoder(*source)
+    {}
+
+    TraceInstr next() override
+    {
+        TraceInstr out;
+        if (!decoder.next(out)) {
+            decoder.rewind();
+            EXPECT_TRUE(decoder.next(out));
+        }
+        return out;
+    }
+
+  private:
+    std::unique_ptr<TraceSource> source;
+    ChampSimDecoder decoder;
+};
+
 } // namespace
 
 // ========================================================== reference trace
@@ -839,21 +873,8 @@ TEST(ChampSimAlloc, SteadyStateDecodeIsAllocationFree)
     std::string path = tempPath("alloc");
     writeBytes(path, bytes);
 
-    for (auto kind : {ChampSimReplayGen::SourceKind::Mmap,
-                      ChampSimReplayGen::SourceKind::Stream,
-                      ChampSimReplayGen::SourceKind::Preload}) {
-        std::unique_ptr<TraceSource> src;
-        switch (kind) {
-          case ChampSimReplayGen::SourceKind::Mmap:
-            src = std::make_unique<MmapTraceSource>(path);
-            break;
-          case ChampSimReplayGen::SourceKind::Stream:
-            src = std::make_unique<StreamTraceSource>(path);
-            break;
-          default:
-            src = std::make_unique<PreloadedTraceSource>(path);
-            break;
-        }
+    for (int layer = 0; layer < 3; ++layer) {
+        std::unique_ptr<TraceSource> src = makeSourceLayer(path, layer);
         ChampSimDecoder dec(*src);
         TraceInstr instr;
         // Warm: first record may fault pages / prime the buffer.
@@ -863,14 +884,14 @@ TEST(ChampSimAlloc, SteadyStateDecodeIsAllocationFree)
         }
         std::uint64_t after = g_heapAllocs.load();
         EXPECT_EQ(after, before)
-            << "source kind " << static_cast<int>(kind)
+            << "source layer " << layer
             << " allocated during steady-state decode";
         EXPECT_EQ(dec.recordsDecoded(), recs.size());
     }
 
     // Cyclic replay through the mmap layer stays allocation-free even
     // across the wrap (rewind is a cursor reset, not a reopen).
-    ChampSimReplayGen gen(path, ChampSimReplayGen::SourceKind::Mmap);
+    ChampSimReplayGen gen(path);  // a raw file replays through mmap
     for (int i = 0; i < 100; ++i)
         (void)gen.next();
     std::uint64_t before = g_heapAllocs.load();
@@ -1001,14 +1022,13 @@ TEST(ChampSimDifferential, SimResultsBitIdenticalAcrossSourceLayers)
     PrefetcherSpec spec = makeSpec("berti");
 
     std::vector<std::string> docs;
-    for (auto kind : {ChampSimReplayGen::SourceKind::Mmap,
-                      ChampSimReplayGen::SourceKind::Stream,
-                      ChampSimReplayGen::SourceKind::Preload}) {
+    for (int layer = 0; layer < 3; ++layer) {
         Workload w;
         w.name = "file:" + path;
         w.suite = "file";
-        w.make = [path, kind]() -> std::unique_ptr<TraceGenerator> {
-            return std::make_unique<ChampSimReplayGen>(path, kind);
+        w.make = [path, layer]() -> std::unique_ptr<TraceGenerator> {
+            return std::make_unique<SourceReplayGen>(
+                makeSourceLayer(path, layer));
         };
         SimResult r = simulate(w, spec, params);
         EXPECT_GT(r.ipc, 0.0);

@@ -213,7 +213,7 @@ std::vector<TraceInstr>
 replayPrefix(const std::string &path, std::size_t n,
              verify::FaultInjector *faults = nullptr)
 {
-    ChampSimReplayGen gen(path, ChampSimReplayGen::SourceKind::Auto, faults);
+    ChampSimReplayGen gen(path, faults);
     std::vector<TraceInstr> out;
     for (std::size_t i = 0; i < n; ++i)
         out.push_back(gen.next());
@@ -326,7 +326,7 @@ TEST(TraceCorpusFuzz, HostilePayloadsRunOnTheMachine)
     fc.seed = 1234;
     fc.traceBitFlipRate = 1.0;
     verify::FaultInjector inj(fc);
-    ChampSimReplayGen gen(path, ChampSimReplayGen::SourceKind::Auto, &inj);
+    ChampSimReplayGen gen(path, &inj);
 
     MachineConfig cfg = MachineConfig::sunnyCove(1);
     cfg.l1dPrefetcher = makeSpec("berti").l1d;

@@ -661,21 +661,24 @@ TEST(BackendSimulate, BackendsProduceDivergentTimings)
 
 // ===================================================== options plumbing
 
-TEST(BackendOptions, ApplyOptionsResolvesSpecAndRejectsUnknown)
+TEST(BackendOptions, MachineConfigForResolvesSpecAndRejectsUnknown)
 {
     sim::SimOptions opt;
     opt.memBackend = "dram:hbm";
-    MachineConfig cfg = MachineConfig::sunnyCove(1);
-    cfg.applyOptions(opt);
+    SimParams params;
+    params.applyOptions(opt);
+    MachineConfig cfg = machineConfigFor(makeSpec("none"), params, 1);
     EXPECT_EQ(cfg.memBackend.model, "hbm");
     EXPECT_EQ(cfg.memBackend.channels, 8u);
     EXPECT_EQ(cfg.dram.busBytes, 16u);
 
     sim::SimOptions bad;
     bad.memBackend = "dram:nosuch";
-    MachineConfig cfg2 = MachineConfig::sunnyCove(1);
-    expectConfigError([&] { cfg2.applyOptions(bad); }, "nosuch",
-                      "applyOptions unknown backend");
+    SimParams bad_params;
+    bad_params.applyOptions(bad);
+    expectConfigError(
+        [&] { (void)machineConfigFor(makeSpec("none"), bad_params, 1); },
+        "nosuch", "machineConfigFor unknown backend");
 }
 
 TEST(BackendOptions, FlagAndEnvSpellFillMemBackend)
