@@ -78,7 +78,6 @@ class Core : public ReadClient
 
     // Introspection for the forward-progress watchdog and diagnostics.
     std::size_t robOccupancy() const { return rob.size(); }
-    bool robEmpty() const { return rob.empty(); }
     std::uint64_t robHeadId() const
     {
         return rob.empty() ? 0 : rob.front().id;

@@ -63,24 +63,4 @@ TextTable::print(std::ostream &os) const
         emit(row);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                os << ',';
-            // Quote cells containing the separator.
-            if (cells[i].find(',') != std::string::npos)
-                os << '"' << cells[i] << '"';
-            else
-                os << cells[i];
-        }
-        os << '\n';
-    };
-    emit(headers);
-    for (const auto &row : rows)
-        emit(row);
-}
-
 } // namespace berti

@@ -29,9 +29,6 @@ class TextTable
 
     void print(std::ostream &os) const;
 
-    /** Machine-readable output: comma separation, no padding. */
-    void printCsv(std::ostream &os) const;
-
   private:
     std::vector<std::string> headers;
     std::vector<std::vector<std::string>> rows;

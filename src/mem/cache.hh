@@ -115,12 +115,6 @@ class Cache : public MemLevel, public ReadClient, public PrefetchPort
     void registerMetrics(obs::MetricsRegistry &registry,
                          const std::string &prefix);
 
-    /** Distribution of MSHR fill latencies (log2 buckets, cycles). */
-    const obs::Histogram &fillLatencyHistogram() const
-    {
-        return *fillLatencyHist;
-    }
-
     /**
      * Always-on wiring validation, called at machine construction:
      * an L1D with a prefetcher attached must have a TLB to translate

@@ -116,7 +116,6 @@ class Dram : public mem::MemBackend
      */
     Cycle nextEventCycle() const override;
 
-    bool readQueueEmpty() const { return rq.empty(); }
     std::size_t pendingReads() const override
     {
         return rq.size() + inflight.size();

@@ -9,8 +9,6 @@ makeReplPolicy(ReplKind kind, unsigned sets, unsigned ways)
     switch (kind) {
       case ReplKind::Lru:
         return std::make_unique<LruPolicy>(sets, ways);
-      case ReplKind::Fifo:
-        return std::make_unique<FifoPolicy>(sets, ways);
       case ReplKind::Srrip:
         return std::make_unique<SrripPolicy>(sets, ways);
       case ReplKind::Drrip:
@@ -57,43 +55,6 @@ LruPolicy::onFill(unsigned set, unsigned way, bool)
 
 void
 LruPolicy::visitState(sim::StateIO &io)
-{
-    io.u64(tick);
-    io.fixed("stamp", stamp, [&io](std::uint64_t &x) { io.u64(x); });
-}
-
-// ----------------------------------------------------------------- FIFO
-
-FifoPolicy::FifoPolicy(unsigned sets, unsigned ways)
-    : ways(ways), stamp(static_cast<std::size_t>(sets) * ways, 0)
-{}
-
-unsigned
-FifoPolicy::victim(unsigned set)
-{
-    std::size_t base = static_cast<std::size_t>(set) * ways;
-    unsigned best = 0;
-    for (unsigned w = 1; w < ways; ++w) {
-        if (stamp[base + w] < stamp[base + best])
-            best = w;
-    }
-    return best;
-}
-
-void
-FifoPolicy::onHit(unsigned, unsigned)
-{
-    // FIFO ignores reuse.
-}
-
-void
-FifoPolicy::onFill(unsigned set, unsigned way, bool)
-{
-    stamp[static_cast<std::size_t>(set) * ways + way] = ++tick;
-}
-
-void
-FifoPolicy::visitState(sim::StateIO &io)
 {
     io.u64(tick);
     io.fixed("stamp", stamp, [&io](std::uint64_t &x) { io.u64(x); });

@@ -1,7 +1,7 @@
 /**
  * @file
- * Cache replacement policies: LRU, FIFO, SRRIP and DRRIP (paper Table II
- * uses SRRIP at L2 and DRRIP at the LLC; Berti's own tables use FIFO).
+ * Cache replacement policies: LRU for the L1s, SRRIP and DRRIP (paper
+ * Table II uses SRRIP at L2 and DRRIP at the LLC).
  */
 
 #ifndef BERTI_MEM_REPLACEMENT_HH
@@ -17,13 +17,13 @@
 namespace berti
 {
 
-/** Which policy a cache uses. */
+/** Which policy a cache uses. The values are folded into checkpoint
+ *  fingerprints, so they must never be renumbered. */
 enum class ReplKind
 {
-    Lru,
-    Fifo,
-    Srrip,
-    Drrip
+    Lru = 0,
+    Srrip = 2,
+    Drrip = 3
 };
 
 /**
@@ -72,23 +72,6 @@ class LruPolicy : public ReplPolicy
     unsigned ways;
     std::uint64_t tick = 0;
     std::vector<std::uint64_t> stamp;  //!< sets * ways
-};
-
-/** FIFO: evict the oldest fill regardless of hits. */
-class FifoPolicy : public ReplPolicy
-{
-  public:
-    FifoPolicy(unsigned sets, unsigned ways);
-    unsigned victim(unsigned set) override;
-    void onHit(unsigned set, unsigned way) override;
-    void onFill(unsigned set, unsigned way, bool prefetch) override;
-    std::string name() const override { return "fifo"; }
-    void visitState(sim::StateIO &io) override;
-
-  private:
-    unsigned ways;
-    std::uint64_t tick = 0;
-    std::vector<std::uint64_t> stamp;
 };
 
 /** Static RRIP with 2-bit re-reference prediction values. */

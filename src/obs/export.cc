@@ -336,14 +336,17 @@ writeFile(const std::string &path, const std::string &content)
         std::filesystem::create_directories(p.parent_path(), ec);
 
     std::string tmp = path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            failIo("cannot open for writing", tmp);
-        os.write(content.data(),
-                 static_cast<std::streamsize>(content.size()));
-        if (!os)
-            failIo("short write", tmp);
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os)
+        failIo("cannot open for writing", tmp);
+    os.write(content.data(), static_cast<std::streamsize>(content.size()));
+    // write() may only fill the stream buffer: the last bytes reach the
+    // file at close(), so only the state after close() proves a whole
+    // file.
+    os.close();
+    if (!os) {
+        std::filesystem::remove(tmp, ec);
+        failIo("short write", tmp);
     }
     std::filesystem::rename(tmp, path, ec);
     if (ec)

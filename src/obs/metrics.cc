@@ -1,6 +1,5 @@
 #include "obs/metrics.hh"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -34,35 +33,22 @@ metricKindName(MetricKind kind)
 
 // --------------------------------------------------------------- Histogram
 
-Histogram::Histogram(Scale s, std::uint64_t w, unsigned n)
-    : scale(s), width(w), buckets(n, 0)
+Histogram::Histogram(unsigned n) : buckets(n, 0)
 {
     if (n == 0)
         fail("histogram needs at least one bucket");
-    if (s == Scale::Linear && w == 0)
-        fail("linear histogram needs a positive bucket width");
 }
 
 Histogram
 Histogram::log2(unsigned buckets)
 {
-    return Histogram(Scale::Log2, 1, buckets);
-}
-
-Histogram
-Histogram::linear(std::uint64_t bucket_width, unsigned buckets)
-{
-    return Histogram(Scale::Linear, bucket_width, buckets);
+    return Histogram(buckets);
 }
 
 unsigned
 Histogram::bucketOf(std::uint64_t value) const
 {
-    unsigned idx;
-    if (scale == Scale::Log2)
-        idx = static_cast<unsigned>(std::bit_width(value));
-    else
-        idx = static_cast<unsigned>(value / width);
+    unsigned idx = static_cast<unsigned>(std::bit_width(value));
     unsigned last = static_cast<unsigned>(buckets.size()) - 1;
     return idx > last ? last : idx;
 }
@@ -82,30 +68,6 @@ Histogram::record(std::uint64_t value, std::uint64_t weight)
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    if (!sameShape(other))
-        fail("histogram merge shape mismatch (scale/width/buckets)");
-    if (!other.total)
-        return;
-    for (std::size_t i = 0; i < buckets.size(); ++i)
-        buckets[i] += other.buckets[i];
-    if (!total || other.lo < lo)
-        lo = other.lo;
-    if (other.hi > hi)
-        hi = other.hi;
-    total += other.total;
-    valueSum += other.valueSum;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets.begin(), buckets.end(), 0);
-    total = valueSum = lo = hi = 0;
-}
-
-void
 Histogram::visitState(sim::StateIO &io)
 {
     io.fixed("buckets", buckets, [&io](std::uint64_t &b) { io.u64(b); });
@@ -118,9 +80,7 @@ Histogram::visitState(sim::StateIO &io)
 std::uint64_t
 Histogram::bucketLow(unsigned i) const
 {
-    if (scale == Scale::Log2)
-        return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
-    return width * i;
+    return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
 }
 
 std::uint64_t
@@ -129,9 +89,7 @@ Histogram::bucketHigh(unsigned i) const
     unsigned last = static_cast<unsigned>(buckets.size()) - 1;
     if (i >= last)
         return std::numeric_limits<std::uint64_t>::max();
-    if (scale == Scale::Log2)
-        return (std::uint64_t{1} << i) - 1;
-    return width * (i + 1) - 1;
+    return (std::uint64_t{1} << i) - 1;
 }
 
 std::uint64_t
@@ -296,18 +254,6 @@ MetricsRegistry::histogram(const std::string &name, const Histogram *hist)
     e.kind = MetricKind::Histogram;
     e.hist = hist;
     insert(name, std::move(e));
-}
-
-Histogram &
-MetricsRegistry::ownHistogram(const std::string &name, Histogram shape)
-{
-    Entry e;
-    e.kind = MetricKind::Histogram;
-    e.owned = std::make_shared<Histogram>(std::move(shape));
-    e.hist = e.owned.get();
-    Histogram &ref = *e.owned;
-    insert(name, std::move(e));
-    return ref;
 }
 
 bool

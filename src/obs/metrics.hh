@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,38 +42,22 @@ enum class MetricKind : std::uint8_t
 const char *metricKindName(MetricKind kind);
 
 /**
- * Fixed-shape histogram with log2 or linear bucketing. All storage is
- * allocated at construction; record() is a couple of integer ops and an
- * array increment, so it is safe on simulation hot paths.
+ * Fixed-shape histogram with log2 bucketing. All storage is allocated
+ * at construction; record() is a couple of integer ops and an array
+ * increment, so it is safe on simulation hot paths.
  */
 class Histogram
 {
   public:
-    enum class Scale : std::uint8_t { Log2, Linear };
-
     /**
      * Log2 buckets: bucket i holds values v with bit_width(v) == i,
      * i.e. [2^(i-1), 2^i); bucket 0 holds v == 0. 33 buckets cover the
-     * full Cycle range of this simulator.
+     * full Cycle range of this simulator. The last bucket absorbs the
+     * overflow.
      */
     static Histogram log2(unsigned buckets = 33);
 
-    /**
-     * Linear buckets of the given width: bucket i holds
-     * [i*width, (i+1)*width). The last bucket absorbs the overflow.
-     */
-    static Histogram linear(std::uint64_t bucket_width, unsigned buckets);
-
     void record(std::uint64_t value, std::uint64_t weight = 1);
-
-    /**
-     * Accumulate another histogram of the same shape. Merging is
-     * associative and commutative; a shape mismatch throws
-     * verify::SimError(ErrorKind::Config).
-     */
-    void merge(const Histogram &other);
-
-    void reset();
 
     std::uint64_t count() const { return total; }
     std::uint64_t sum() const { return valueSum; }
@@ -107,24 +90,16 @@ class Histogram
     /** Inclusive upper edge of bucket i. */
     std::uint64_t bucketHigh(unsigned i) const;
 
-    bool sameShape(const Histogram &other) const
-    {
-        return scale == other.scale && width == other.width &&
-               buckets.size() == other.buckets.size();
-    }
-
     /** Checkpoint walk: contents only — the shape is construction
      *  state and is cross-checked, not restored. A bucket-count
      *  mismatch throws verify::SimError(ErrorKind::Checkpoint). */
     void visitState(sim::StateIO &io);
 
   private:
-    Histogram(Scale s, std::uint64_t w, unsigned n);
+    explicit Histogram(unsigned n);
 
     unsigned bucketOf(std::uint64_t value) const;
 
-    Scale scale;
-    std::uint64_t width;             //!< linear bucket width (1 for log2)
     std::vector<std::uint64_t> buckets;
     std::uint64_t total = 0;
     std::uint64_t valueSum = 0;
@@ -196,9 +171,6 @@ class MetricsRegistry
     /** Register a component-owned histogram (must outlive the registry). */
     void histogram(const std::string &name, const Histogram *hist);
 
-    /** Create and own a histogram registered under the given name. */
-    Histogram &ownHistogram(const std::string &name, Histogram shape);
-
     bool contains(const std::string &name) const;
     std::size_t size() const { return entries.size(); }
 
@@ -214,7 +186,6 @@ class MetricsRegistry
         const std::uint64_t *cell = nullptr;
         std::function<double()> fn;
         const Histogram *hist = nullptr;
-        std::shared_ptr<Histogram> owned;
     };
 
     void insert(const std::string &name, Entry entry);

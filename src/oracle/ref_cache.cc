@@ -5,12 +5,6 @@
 namespace berti::oracle
 {
 
-const char *
-refOutcomeName(RefOutcome o)
-{
-    return o == RefOutcome::Hit ? "hit" : "miss";
-}
-
 RefCache::RefCache(const RefCacheConfig &config)
     : cfg(config), sets(config.sets)
 {
@@ -105,15 +99,6 @@ RefCache::contents() const
     }
     std::sort(out.begin(), out.end());
     return out;
-}
-
-std::size_t
-RefCache::residentLines() const
-{
-    std::size_t n = 0;
-    for (const Set &set : sets)
-        n += set.size();
-    return n;
 }
 
 } // namespace berti::oracle

@@ -43,8 +43,6 @@ enum class RefOutcome : std::uint8_t
     Miss
 };
 
-const char *refOutcomeName(RefOutcome o);
-
 /** One resident line, as the reference model tracks it. */
 struct RefLine
 {
@@ -98,8 +96,6 @@ class RefCache
 
     /** Every resident line with its dirty bit, sorted by address. */
     std::vector<std::pair<Addr, bool>> contents() const;
-
-    std::size_t residentLines() const;
 
     const RefCacheConfig &config() const { return cfg; }
 

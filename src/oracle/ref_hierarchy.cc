@@ -3,22 +3,6 @@
 namespace berti::oracle
 {
 
-const char *
-refHitLevelName(RefHitLevel l)
-{
-    switch (l) {
-      case RefHitLevel::L1:
-        return "l1";
-      case RefHitLevel::L2:
-        return "l2";
-      case RefHitLevel::Llc:
-        return "llc";
-      case RefHitLevel::Memory:
-        return "memory";
-    }
-    return "?";
-}
-
 RefHierarchy::RefHierarchy(const RefHierarchyConfig &cfg)
     : l1Cache(cfg.l1), l2Cache(cfg.l2), llcCache(cfg.llc)
 {

@@ -43,8 +43,6 @@ enum class RefHitLevel : std::uint8_t
     Memory
 };
 
-const char *refHitLevelName(RefHitLevel l);
-
 struct RefHierarchyConfig
 {
     RefCacheConfig l1{"ref-l1d", 16, 4};

@@ -146,7 +146,6 @@ class HybridPrefetcher : public Prefetcher
 
     // ------------------------------------------------- introspection
     const HybridConfig &config() const { return cfg; }
-    std::size_t childCount() const { return children.size(); }
     Prefetcher &child(std::size_t i) { return *children[i]; }
     const Stats &hybridStats() const { return stats; }
     /** Current PSEL winner (duel policy): 0 or 1. */

@@ -55,12 +55,6 @@ class Rng
     /** Bernoulli draw with probability p of true. */
     bool nextBool(double p) { return nextDouble() < p; }
 
-    /** Full generator state, for checkpoint export. */
-    std::uint64_t serializeState() const { return state; }
-
-    /** Restore a state previously captured with serializeState(). */
-    void restoreState(std::uint64_t s) { state = s; }
-
   private:
     std::uint64_t state;
 };

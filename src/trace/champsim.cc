@@ -121,25 +121,6 @@ MmapTraceSource::consume(std::size_t n)
 
 // ============================================================= preloaded
 
-PreloadedTraceSource::PreloadedTraceSource(const std::string &path)
-    : file(path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw ioError("PreloadedTraceSource", path, 0,
-                      errnoReason("cannot open file"));
-    unsigned char chunk[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        bytes.insert(bytes.end(), chunk, chunk + n);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad) {
-        throw ioError("PreloadedTraceSource", path, bytes.size(),
-                      "read error while preloading");
-    }
-}
-
 PreloadedTraceSource::PreloadedTraceSource(std::vector<unsigned char> data,
                                            std::string label)
     : file(std::move(label)), bytes(std::move(data))
@@ -172,17 +153,19 @@ compressionForPath(const std::string &path)
     return TraceCompression::None;
 }
 
-StreamTraceSource::StreamTraceSource(const std::string &path)
-    : StreamTraceSource(path, compressionForPath(path))
-{}
-
 StreamTraceSource::StreamTraceSource(const std::string &path,
-                                     TraceCompression compression,
                                      std::size_t bufferBytes)
-    : file(path), comp(compression),
+    : file(path),
       buf(bufferBytes < kChampSimRecordBytes ? kChampSimRecordBytes
                                              : bufferBytes)
 {
+    TraceCompression comp = compressionForPath(path);
+    if (comp == TraceCompression::None) {
+        throw ioError("StreamTraceSource", path, 0,
+                      "not a compressed trace (expected .xz or .gz); raw "
+                      "traces are read through MmapTraceSource");
+    }
+    tool = comp == TraceCompression::Xz ? "xz" : "gzip";
     open();
     // Eager first refill: a missing decompressor tool or an immediately
     // failing pipe surfaces as a typed error at construction, not
@@ -192,12 +175,7 @@ StreamTraceSource::StreamTraceSource(const std::string &path,
 
 StreamTraceSource::~StreamTraceSource()
 {
-    if (in) {
-        if (isPipe)
-            ::pclose(in);
-        else
-            std::fclose(in);
-    }
+    close();
 }
 
 void
@@ -210,16 +188,6 @@ StreamTraceSource::open()
         throw ioError("StreamTraceSource", file, 0,
                       errnoReason("cannot open file"));
 
-    if (comp == TraceCompression::None) {
-        in = std::fopen(file.c_str(), "rb");
-        if (!in)
-            throw ioError("StreamTraceSource", file, 0,
-                          errnoReason("cannot open file"));
-        isPipe = false;
-        return;
-    }
-
-    const char *tool = comp == TraceCompression::Xz ? "xz" : "gzip";
     std::string cmd =
         std::string(tool) + " -dc -- " + shellQuote(file) + " 2>/dev/null";
     in = ::popen(cmd.c_str(), "r");
@@ -228,18 +196,13 @@ StreamTraceSource::open()
                       errnoReason(std::string("cannot spawn ") + tool +
                                   " decompressor"));
     }
-    isPipe = true;
 }
 
 void
 StreamTraceSource::close()
 {
-    if (!in)
-        return;
-    if (isPipe)
+    if (in)
         ::pclose(in);
-    else
-        std::fclose(in);
     in = nullptr;
 }
 
@@ -269,17 +232,11 @@ StreamTraceSource::refill()
         }
         if (tail == head || std::feof(in)) {
             eof = true;
-            bool pipe = isPipe;
-            int status = 0;
-            if (in) {
-                status = pipe ? ::pclose(in) : std::fclose(in);
-                in = nullptr;
-            }
-            if (pipe && status != 0) {
+            int status = ::pclose(in);
+            in = nullptr;
+            if (status != 0) {
                 // Exit 127 = the shell could not find the tool: the
                 // graceful typed fallback for hosts without xz/gzip.
-                const char *tool =
-                    comp == TraceCompression::Xz ? "xz" : "gzip";
                 throw ioError(
                     "StreamTraceSource", file, consumed + (tail - head),
                     std::string(tool) +
@@ -544,23 +501,13 @@ saveChampSim(const std::string &path, const std::vector<TraceInstr> &instrs)
     return saveChampSim(path, gen, instrs.size());
 }
 
-std::vector<TraceInstr>
-loadChampSim(const std::string &path)
-{
-    StreamTraceSource src(path);
-    ChampSimDecoder dec(src);
-    std::vector<TraceInstr> instrs;
-    TraceInstr in;
-    while (dec.next(in))
-        instrs.push_back(in);
-    return instrs;
-}
-
 // ================================================================ replay
 
 namespace
 {
 
+/** The one reader choice: mmap for a raw file, the decompression pipe
+ *  for a compressed one. */
 std::unique_ptr<TraceSource>
 makeSource(const std::string &path)
 {
@@ -570,6 +517,18 @@ makeSource(const std::string &path)
 }
 
 } // namespace
+
+std::vector<TraceInstr>
+loadChampSim(const std::string &path)
+{
+    std::unique_ptr<TraceSource> src = makeSource(path);
+    ChampSimDecoder dec(*src);
+    std::vector<TraceInstr> instrs;
+    TraceInstr in;
+    while (dec.next(in))
+        instrs.push_back(in);
+    return instrs;
+}
 
 ChampSimReplayGen::ChampSimReplayGen(const std::string &path,
                                      verify::FaultInjector *faults)
@@ -621,26 +580,16 @@ isChampSimTracePath(const std::string &path)
 verify::Result<std::uint64_t>
 fileContentHash(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        return ioError("fileContentHash", path, 0,
-                       errnoReason("cannot open file"));
+    try {
+        MmapTraceSource src(path);
+        sim::Fnv64 h;
+        std::size_t got = 0;
+        if (const unsigned char *p = src.view(src.size(), got))
+            h.addBytes(p, got);
+        return h.value();
+    } catch (const verify::SimError &e) {
+        return e;
     }
-    sim::Fnv64 h;
-    unsigned char chunk[1 << 16];
-    std::size_t n;
-    std::uint64_t total = 0;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-        h.addBytes(chunk, n);
-        total += n;
-    }
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad) {
-        return ioError("fileContentHash", path, total,
-                       "read error while hashing");
-    }
-    return h.value();
 }
 
 } // namespace berti

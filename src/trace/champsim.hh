@@ -31,13 +31,13 @@
  *
  * Input stack layering (each independently testable):
  *   TraceSource        borrow-bytes interface (view/consume/rewind)
- *   MmapTraceSource    mmap-backed, zero-copy: decode reads the page
- *                      cache directly, no intermediate buffer
+ *   MmapTraceSource    the one reader of raw bytes on disk: mmap-backed,
+ *                      zero-copy, decode reads the page cache directly
  *   StreamTraceSource  bounded-buffer streaming through an external
- *                      `xz -dc` / `gzip -dc` process (or plain stdio
- *                      for raw files); the buffer is allocated once
- *   PreloadedTraceSource  whole stream resident in memory (tests,
- *                      differential runs, fuzz corpora)
+ *                      `xz -dc` / `gzip -dc` process for compressed
+ *                      files; the buffer is allocated once
+ *   PreloadedTraceSource  bytes already in memory (fuzz corpora,
+ *                      differential runs)
  *   ChampSimDecoder    record decode + TraceInstr mapping + fault hook
  *   ChampSimReplayGen  TraceGenerator adapter (cyclic replay)
  */
@@ -142,13 +142,12 @@ class MmapTraceSource : public TraceSource
 };
 
 /**
- * Whole stream resident in memory: either read eagerly from a file or
- * handed in as raw bytes (fuzz corpora, differential runs).
+ * Whole stream resident in memory, handed in as raw bytes (fuzz
+ * corpora, differential runs); label stands in for the path in errors.
  */
 class PreloadedTraceSource : public TraceSource
 {
   public:
-    explicit PreloadedTraceSource(const std::string &file);
     PreloadedTraceSource(std::vector<unsigned char> data,
                          std::string label);
 
@@ -164,10 +163,10 @@ class PreloadedTraceSource : public TraceSource
     std::uint64_t pos = 0;
 };
 
-/** External decompressor a StreamTraceSource pipes through. */
+/** How a trace file is stored, which picks its reader. */
 enum class TraceCompression : std::uint8_t
 {
-    None,  //!< plain stdio read, no subprocess
+    None,  //!< raw records, read through MmapTraceSource
     Xz,    //!< `xz -dc` pipe
     Gzip   //!< `gzip -dc` pipe
 };
@@ -176,20 +175,20 @@ enum class TraceCompression : std::uint8_t
 TraceCompression compressionForPath(const std::string &path);
 
 /**
- * Bounded-buffer streaming source. Raw files are read through stdio;
- * .xz/.gz files are piped through the external `xz -dc` / `gzip -dc`
- * tool. The refill buffer is allocated once at construction, so
- * steady-state decode does not touch the heap. A missing file, a
- * missing decompressor tool, or a decompressor that exits non-zero all
- * surface as verify::SimError(TraceIo) naming the path and offset —
- * the graceful typed fallback for hosts without xz/gzip.
+ * Bounded-buffer streaming source for a compressed trace: the .xz/.gz
+ * file named by the path is piped through the external `xz -dc` /
+ * `gzip -dc` tool. The refill buffer is allocated once at
+ * construction, so steady-state decode does not touch the heap. A raw
+ * path (no .xz/.gz extension), a missing file, a missing decompressor
+ * tool, or a decompressor that exits non-zero all surface as
+ * verify::SimError(TraceIo) naming the path and offset — the graceful
+ * typed fallback for hosts without xz/gzip.
  */
 class StreamTraceSource : public TraceSource
 {
   public:
-    explicit StreamTraceSource(const std::string &file);
-    StreamTraceSource(const std::string &file, TraceCompression comp,
-                      std::size_t bufferBytes = 1u << 18);
+    explicit StreamTraceSource(const std::string &file,
+                               std::size_t bufferBytes = 1u << 18);
     ~StreamTraceSource() override;
 
     StreamTraceSource(const StreamTraceSource &) = delete;
@@ -207,13 +206,12 @@ class StreamTraceSource : public TraceSource
     void refill();
 
     std::string file;
-    TraceCompression comp;
+    const char *tool = nullptr;  //!< "xz" or "gzip"
     std::vector<unsigned char> buf;
     std::size_t head = 0;       //!< first unconsumed byte in buf
     std::size_t tail = 0;       //!< one past the last valid byte in buf
     std::uint64_t consumed = 0; //!< total bytes consumed this pass
     std::FILE *in = nullptr;
-    bool isPipe = false;
     bool eof = false;
 };
 
@@ -305,8 +303,10 @@ verify::Result<std::uint64_t> saveChampSim(const std::string &path,
                                            TraceGenerator &gen,
                                            std::uint64_t count);
 
-/** Decode a whole ChampSim trace (raw or compressed) once, in order.
- *  Throws verify::SimError(TraceIo) on any decode failure. */
+/** Decode a whole ChampSim trace once, in order, through the reader
+ *  ChampSimReplayGen picks (mmap for a raw file, the decompression pipe
+ *  for a compressed one). Throws verify::SimError(TraceIo) on any
+ *  decode failure. */
 std::vector<TraceInstr> loadChampSim(const std::string &path);
 
 /**
@@ -341,10 +341,10 @@ bool isChampSimTracePath(const std::string &path);
 
 /**
  * FNV-1a-64 over a file's raw on-disk bytes (compressed form for
- * compressed traces), streamed chunk-wise. The result-store folds this
- * into every file-workload key so two different files that ever lived
- * at the same path can never collide in the cache. Typed
- * SimError(TraceIo) when the file cannot be read.
+ * compressed traces), read through MmapTraceSource. The result-store
+ * folds this into every file-workload key so two different files that
+ * ever lived at the same path can never collide in the cache. Typed
+ * SimError(TraceIo) naming the path when the file cannot be read.
  */
 verify::Result<std::uint64_t> fileContentHash(const std::string &path);
 

@@ -303,15 +303,38 @@ sameInstr(const TraceInstr &a, const TraceInstr &b)
            a.dependsOnPrevLoad == b.dependsOnPrevLoad;
 }
 
-/** The three source layers: 0 mmap, 1 stream, 2 preload. */
+/**
+ * The checked-in reference trace through one of the three source
+ * layers: 0 mmap (mini.champsim), 1 decompression pipe
+ * (mini.champsim.xz), 2 preload (mini.champsim's bytes).
+ */
 std::unique_ptr<TraceSource>
-makeSourceLayer(const std::string &path, int layer)
+makeSourceLayer(int layer, std::size_t streamBuffer = 1u << 18)
 {
+    std::string raw = dataPath("mini.champsim");
     if (layer == 0)
-        return std::make_unique<MmapTraceSource>(path);
-    if (layer == 1)
-        return std::make_unique<StreamTraceSource>(path);
-    return std::make_unique<PreloadedTraceSource>(path);
+        return std::make_unique<MmapTraceSource>(raw);
+    if (layer == 1) {
+        return std::make_unique<StreamTraceSource>(
+            dataPath("mini.champsim.xz"), streamBuffer);
+    }
+    return std::make_unique<PreloadedTraceSource>(readBytes(raw), raw);
+}
+
+/** False when the host has no xz tool: the pipe layer then fails with
+ *  its typed "unavailable" error, and the tests that need it skip. */
+bool
+xzAvailable()
+{
+    try {
+        StreamTraceSource probe(dataPath("mini.champsim.xz"));
+        return true;
+    } catch (const verify::SimError &e) {
+        if (std::string(e.reason()).find("unavailable") !=
+            std::string::npos)
+            return false;
+        throw;
+    }
 }
 
 /** Cyclic replay through one given source layer. */
@@ -361,24 +384,16 @@ TEST(ChampSimReference, CheckedInReferenceMatchesRecipe)
 
 TEST(ChampSimReference, XzSiblingDecodesToTheSameStream)
 {
-    std::string raw = dataPath("mini.champsim");
-    std::string xz = dataPath("mini.champsim.xz");
-    MmapTraceSource rawSrc(raw);
+    // Hosts without an xz tool get the typed fallback; the raw-file
+    // battery still covers the decoder.
+    if (!xzAvailable())
+        GTEST_SKIP() << "no xz tool on this host";
+    MmapTraceSource rawSrc(dataPath("mini.champsim"));
     std::vector<TraceInstr> expect = decodeAll(rawSrc);
     ASSERT_EQ(expect.size(), 48u);
 
-    std::unique_ptr<StreamTraceSource> xzSrc;
-    try {
-        xzSrc = std::make_unique<StreamTraceSource>(xz);
-    } catch (const verify::SimError &e) {
-        // Hosts without an xz tool get the typed fallback; the raw-file
-        // battery still covers the decoder.
-        if (std::string(e.reason()).find("unavailable") !=
-            std::string::npos)
-            GTEST_SKIP() << e.what();
-        throw;
-    }
-    std::vector<TraceInstr> got = decodeAll(*xzSrc);
+    StreamTraceSource xzSrc(dataPath("mini.champsim.xz"));
+    std::vector<TraceInstr> got = decodeAll(xzSrc);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_TRUE(sameInstr(got[i], expect[i])) << "record " << i;
@@ -758,16 +773,14 @@ TEST(ChampSimFuzz, GarbageInjectionRewritesRecordsButAlwaysParses)
 
 TEST(ChampSimSources, AllThreeLayersYieldTheSameStream)
 {
-    std::vector<unsigned char> bytes = encodeAll(miniTraceRecipe());
-    std::string path = tempPath("parity");
-    writeBytes(path, bytes);
-
-    MmapTraceSource mmapSrc(path);
-    StreamTraceSource streamSrc(path);
-    PreloadedTraceSource preSrc(path);
-    std::vector<TraceInstr> a = decodeAll(mmapSrc);
-    std::vector<TraceInstr> b = decodeAll(streamSrc);
-    std::vector<TraceInstr> c = decodeAll(preSrc);
+    if (!xzAvailable())
+        GTEST_SKIP() << "no xz tool on this host";
+    std::unique_ptr<TraceSource> mmapSrc = makeSourceLayer(0);
+    std::unique_ptr<TraceSource> streamSrc = makeSourceLayer(1);
+    std::unique_ptr<TraceSource> preSrc = makeSourceLayer(2);
+    std::vector<TraceInstr> a = decodeAll(*mmapSrc);
+    std::vector<TraceInstr> b = decodeAll(*streamSrc);
+    std::vector<TraceInstr> c = decodeAll(*preSrc);
     ASSERT_EQ(a.size(), 48u);
     ASSERT_EQ(b.size(), a.size());
     ASSERT_EQ(c.size(), a.size());
@@ -779,7 +792,7 @@ TEST(ChampSimSources, AllThreeLayersYieldTheSameStream)
     // Rewind restarts every layer identically, including the
     // register-dependence tracking — the stream source above is at EOF
     // and must reopen from byte 0.
-    ChampSimDecoder dec(streamSrc);
+    ChampSimDecoder dec(*streamSrc);
     dec.rewind();
     TraceInstr first;
     ASSERT_TRUE(dec.next(first));
@@ -787,38 +800,36 @@ TEST(ChampSimSources, AllThreeLayersYieldTheSameStream)
     TraceInstr again;
     ASSERT_TRUE(dec.next(again));
     EXPECT_TRUE(sameInstr(first, again));
-    std::remove(path.c_str());
 }
 
 TEST(ChampSimSources, StreamRefillCrossesBufferBoundaries)
 {
     // A buffer far smaller than the stream, and not a multiple of the
     // record size, forces mid-record refills + memmove compaction.
-    std::vector<ChampSimRecord> recs(257);
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        recs[i].ip = 0x1000 + 4 * i;
-        recs[i].srcMemory[0] = 0x4000 + 64 * i;
-    }
-    std::vector<unsigned char> bytes = encodeAll(recs);
-    std::string path = tempPath("refill");
-    writeBytes(path, bytes);
-    StreamTraceSource src(path, TraceCompression::None,
-                          /*bufferBytes=*/200);
-    std::vector<TraceInstr> got = decodeAll(src);
-    ASSERT_EQ(got.size(), recs.size());
+    if (!xzAvailable())
+        GTEST_SKIP() << "no xz tool on this host";
+    std::vector<TraceInstr> expect = decodeAll(*makeSourceLayer(0));
+    std::vector<TraceInstr> got =
+        decodeAll(*makeSourceLayer(1, /*streamBuffer=*/200));
+    ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i].load0, 0x4000 + 64 * i) << i;
-    std::remove(path.c_str());
+        ASSERT_TRUE(sameInstr(got[i], expect[i])) << i;
 }
 
 TEST(ChampSimSources, MissingFileAndEmptyFileAreTypedErrors)
 {
     EXPECT_THROW(MmapTraceSource("/nonexistent/x.champsim"),
                  verify::SimError);
-    EXPECT_THROW(StreamTraceSource("/nonexistent/x.champsim"),
+    EXPECT_THROW(StreamTraceSource("/nonexistent/x.champsim.xz"),
                  verify::SimError);
-    EXPECT_THROW(PreloadedTraceSource("/nonexistent/x.champsim"),
-                 verify::SimError);
+    // The pipe serves compressed files only; mmap reads raw ones.
+    try {
+        StreamTraceSource raw(dataPath("mini.champsim"));
+        FAIL() << "a raw path must not open a decompression pipe";
+    } catch (const verify::SimError &e) {
+        EXPECT_EQ(e.kind(), verify::ErrorKind::TraceIo);
+        EXPECT_EQ(e.path(), dataPath("mini.champsim"));
+    }
 
     std::string path = tempPath("emptyfile");
     writeBytes(path, {});
@@ -862,19 +873,13 @@ TEST(ChampSimSources, PathClassification)
 
 TEST(ChampSimAlloc, SteadyStateDecodeIsAllocationFree)
 {
-    // Large enough that the stream source must refill several times
-    // (buffer is 256 KiB): 16384 records = 1 MiB.
-    std::vector<ChampSimRecord> recs(16384);
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        recs[i].ip = 0x1000 + 4 * (i % 512);
-        recs[i].srcMemory[0] = 0x4000 + 64 * (i % 1024);
-    }
-    std::vector<unsigned char> bytes = encodeAll(recs);
-    std::string path = tempPath("alloc");
-    writeBytes(path, bytes);
-
+    if (!xzAvailable())
+        GTEST_SKIP() << "no xz tool on this host";
+    // The pipe layer gets a 200-byte buffer, so it refills several
+    // times mid-stream.
     for (int layer = 0; layer < 3; ++layer) {
-        std::unique_ptr<TraceSource> src = makeSourceLayer(path, layer);
+        std::unique_ptr<TraceSource> src =
+            makeSourceLayer(layer, /*streamBuffer=*/200);
         ChampSimDecoder dec(*src);
         TraceInstr instr;
         // Warm: first record may fault pages / prime the buffer.
@@ -886,11 +891,19 @@ TEST(ChampSimAlloc, SteadyStateDecodeIsAllocationFree)
         EXPECT_EQ(after, before)
             << "source layer " << layer
             << " allocated during steady-state decode";
-        EXPECT_EQ(dec.recordsDecoded(), recs.size());
+        EXPECT_EQ(dec.recordsDecoded(), 48u);
     }
 
     // Cyclic replay through the mmap layer stays allocation-free even
     // across the wrap (rewind is a cursor reset, not a reopen).
+    std::vector<ChampSimRecord> recs(16384);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        recs[i].ip = 0x1000 + 4 * (i % 512);
+        recs[i].srcMemory[0] = 0x4000 + 64 * (i % 1024);
+    }
+    std::vector<unsigned char> bytes = encodeAll(recs);
+    std::string path = tempPath("alloc");
+    writeBytes(path, bytes);
     ChampSimReplayGen gen(path);  // a raw file replays through mmap
     for (int i = 0; i < 100; ++i)
         (void)gen.next();
@@ -1015,6 +1028,8 @@ TEST(ChampSimDifferential, SimResultsBitIdenticalAcrossSourceLayers)
     // The same trace simulated through mmap, stream and preload sources
     // must produce byte-identical exported snapshots — the source layer
     // is invisible to the machine.
+    if (!xzAvailable())
+        GTEST_SKIP() << "no xz tool on this host";
     std::string path = dataPath("mini.champsim");
     SimParams params;
     params.warmupInstructions = 2000;
@@ -1026,9 +1041,9 @@ TEST(ChampSimDifferential, SimResultsBitIdenticalAcrossSourceLayers)
         Workload w;
         w.name = "file:" + path;
         w.suite = "file";
-        w.make = [path, layer]() -> std::unique_ptr<TraceGenerator> {
+        w.make = [layer]() -> std::unique_ptr<TraceGenerator> {
             return std::make_unique<SourceReplayGen>(
-                makeSourceLayer(path, layer));
+                makeSourceLayer(layer));
         };
         SimResult r = simulate(w, spec, params);
         EXPECT_GT(r.ipc, 0.0);

@@ -381,60 +381,30 @@ TEST(WatchdogFuzz, WedgedMshrFailsWithDiagnosticInsteadOfHanging)
 }
 
 // --------------------------------------------------------------------
-// Observability properties: randomised histograms must merge
-// associatively and report monotone percentiles; a randomly driven
-// interval ring must retain exactly the newest samples.
+// Observability properties: randomised histograms must report
+// monotone percentiles, and arbitrary snapshots must survive a JSON
+// round trip.
 // --------------------------------------------------------------------
 
 class ObsFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
-TEST_P(ObsFuzz, HistogramMergeIsAssociativeAndLossless)
+TEST_P(ObsFuzz, HistogramPercentilesAreMonotoneAndClamped)
 {
     Rng rng(GetParam());
-    bool linear = rng.nextBool(0.5);
-    auto make = [linear] {
-        return linear ? obs::Histogram::linear(17, 21)
-                      : obs::Histogram::log2();
-    };
-    obs::Histogram parts[3] = {make(), make(), make()};
-    obs::Histogram whole = make();
+    obs::Histogram h = obs::Histogram::log2();
     std::uint64_t values = 200 + rng.nextBounded(800);
-    for (std::uint64_t i = 0; i < values; ++i) {
-        std::uint64_t v = rng.next() >> (rng.nextBounded(64));
-        std::uint64_t w = 1 + rng.nextBounded(3);
-        parts[rng.nextBounded(3)].record(v, w);
-        whole.record(v, w);
-    }
+    for (std::uint64_t i = 0; i < values; ++i)
+        h.record(rng.next() >> (rng.nextBounded(64)),
+                 1 + rng.nextBounded(3));
 
-    // (a + b) + c  ==  a + (b + c)  ==  everything recorded into one.
-    obs::Histogram left = make();
-    left.merge(parts[0]);
-    left.merge(parts[1]);
-    left.merge(parts[2]);
-    obs::Histogram bc = make();
-    bc.merge(parts[1]);
-    bc.merge(parts[2]);
-    obs::Histogram right = make();
-    right.merge(parts[0]);
-    right.merge(bc);
-    for (const obs::Histogram *h : {&left, &right}) {
-        EXPECT_EQ(h->count(), whole.count());
-        EXPECT_EQ(h->sum(), whole.sum());
-        EXPECT_EQ(h->min(), whole.min());
-        EXPECT_EQ(h->max(), whole.max());
-        for (unsigned i = 0; i < whole.bucketCount(); ++i)
-            EXPECT_EQ(h->bucketWeight(i), whole.bucketWeight(i)) << i;
-    }
-
-    // Percentiles are monotone in p and clamped to the observed range.
     std::uint64_t prev = 0;
     for (double p = 0.0; p <= 1.0; p += 1.0 / 64) {
-        std::uint64_t q = whole.percentile(p);
+        std::uint64_t q = h.percentile(p);
         EXPECT_GE(q, prev);
-        EXPECT_GE(q, whole.min());
-        EXPECT_LE(q, whole.max());
+        EXPECT_GE(q, h.min());
+        EXPECT_LE(q, h.max());
         prev = q;
     }
 }

@@ -1,34 +1,14 @@
-/** @file Small-surface tests: CSV table output, new prefetcher spec
- *  names, queued-generator helpers, machine safety bound. */
-
-#include <sstream>
+/** @file Small-surface tests: new prefetcher spec names,
+ *  queued-generator helpers, machine safety bound. */
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
-#include "harness/table.hh"
 #include "trace/generators.hh"
 
 namespace berti
 {
-
-TEST(Csv, SeparatorAndQuoting)
-{
-    TextTable t({"a", "b"});
-    t.addRow({"plain", "with,comma"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a,b\nplain,\"with,comma\"\n");
-}
-
-TEST(Csv, HeaderOnlyTable)
-{
-    TextTable t({"x"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "x\n");
-}
 
 TEST(Spec, RelatedWorkNamesResolve)
 {

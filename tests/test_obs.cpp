@@ -6,7 +6,12 @@
  * determinism).
  */
 
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
+
+#include <sys/resource.h>
+
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
@@ -37,6 +42,8 @@ TEST(Histogram, Log2BucketEdges)
     EXPECT_EQ(h.bucketHigh(1), 1u);
     EXPECT_EQ(h.bucketLow(4), 8u);    // [2^3, 2^4)
     EXPECT_EQ(h.bucketHigh(4), 15u);
+    h.record(~std::uint64_t{0});      // past 2^32: the last bucket
+    EXPECT_EQ(h.bucketWeight(h.bucketCount() - 1), 1u);
 }
 
 TEST(Histogram, RecordAndMoments)
@@ -50,17 +57,6 @@ TEST(Histogram, RecordAndMoments)
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 100u);
     EXPECT_DOUBLE_EQ(h.mean(), 201.0 / 4.0);
-}
-
-TEST(Histogram, LinearOverflowGoesToLastBucket)
-{
-    Histogram h = Histogram::linear(10, 4);  // [0,10) ... [30,inf)
-    h.record(5);
-    h.record(35);
-    h.record(1000000);
-    EXPECT_EQ(h.bucketWeight(0), 1u);
-    EXPECT_EQ(h.bucketWeight(3), 2u);
-    EXPECT_EQ(h.max(), 1000000u);
 }
 
 TEST(Histogram, PercentileMonotoneAndClamped)
@@ -78,60 +74,14 @@ TEST(Histogram, PercentileMonotoneAndClamped)
     // Clamped to the observed range, not the bucket's nominal edge.
     EXPECT_GE(h.percentile(0.0), h.min());
     EXPECT_LE(h.percentile(1.0), h.max());
-}
-
-TEST(Histogram, MergeMatchesInterleavedRecording)
-{
-    Histogram a = Histogram::log2();
-    Histogram b = Histogram::log2();
-    Histogram both = Histogram::log2();
-    for (std::uint64_t v = 0; v < 64; ++v) {
-        (v % 2 ? a : b).record(v * v);
-        both.record(v * v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), both.count());
-    EXPECT_EQ(a.sum(), both.sum());
-    EXPECT_EQ(a.min(), both.min());
-    EXPECT_EQ(a.max(), both.max());
-    for (unsigned i = 0; i < a.bucketCount(); ++i)
-        EXPECT_EQ(a.bucketWeight(i), both.bucketWeight(i)) << i;
-}
-
-TEST(Histogram, MergeShapeMismatchThrows)
-{
-    Histogram a = Histogram::log2();
-    Histogram b = Histogram::linear(10, 33);
-    EXPECT_THROW(a.merge(b), verify::SimError);
-}
-
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h = Histogram::log2();
-    h.record(42);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.sum(), 0u);
-    EXPECT_EQ(h.max(), 0u);
-    EXPECT_EQ(h.percentile(0.99), 0u);
+    // Out-of-range p is clamped to [0, 1].
+    EXPECT_EQ(h.percentile(-0.5), h.percentile(0.0));
+    EXPECT_EQ(h.percentile(1.5), h.percentile(1.0));
 }
 
 TEST(Histogram, InvalidShapesThrow)
 {
     EXPECT_THROW(Histogram::log2(0), verify::SimError);
-    EXPECT_THROW(Histogram::linear(0, 4), verify::SimError);
-    EXPECT_THROW(Histogram::linear(10, 0), verify::SimError);
-}
-
-TEST(Histogram, LinearBucketEdges)
-{
-    Histogram h = Histogram::linear(10, 4);
-    EXPECT_EQ(h.bucketLow(2), 20u);
-    EXPECT_EQ(h.bucketHigh(1), 19u);
-    h.record(7);
-    // Out-of-range p is clamped to [0, 1].
-    EXPECT_EQ(h.percentile(-0.5), h.percentile(0.0));
-    EXPECT_EQ(h.percentile(1.5), h.percentile(1.0));
 }
 
 TEST(MetricKind, NamesAreStable)
@@ -177,8 +127,9 @@ TEST(MetricsRegistry, DuplicateNameThrows)
 
 TEST(MetricsRegistry, HistogramFlattensIntoSnapshot)
 {
+    Histogram h = Histogram::log2();
     MetricsRegistry reg;
-    Histogram &h = reg.ownHistogram("lat", Histogram::log2());
+    reg.histogram("lat", &h);
     h.record(8);
     h.record(16);
     MetricsSnapshot snap = reg.snapshot();
@@ -203,10 +154,11 @@ TEST(MetricsRegistry, RejectsDegenerateRegistrations)
 TEST(MetricsRegistry, NamesListsEveryKindSorted)
 {
     std::uint64_t cell = 0;
+    Histogram h = Histogram::log2();
     MetricsRegistry reg;
     reg.counter("c", &cell);
     reg.gauge("a", [] { return 0.0; });
-    reg.ownHistogram("h", Histogram::log2());
+    reg.histogram("h", &h);
     std::vector<std::string> names = reg.names();
     ASSERT_EQ(names.size(), 3u);
     EXPECT_EQ(names[0], "a");
@@ -305,6 +257,34 @@ TEST(Export, WriteFileRoundTripsAndCreatesParents)
     EXPECT_EQ(obs::readFile(path), "payload2\n");
     EXPECT_THROW(obs::readFile(dir + "/missing.json"),
                  verify::SimError);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Export, WriteFileFailsWhenTheFinalFlushFails)
+{
+    // The content fits the stream buffer, so every byte reaches the
+    // file only at the final flush. A 512-byte file-size limit makes
+    // that flush fail part-way; writeFile must throw and leave no file
+    // behind. The limit is set in the forked child only.
+    std::string dir = ::testing::TempDir() + "berti_obs_flush_test";
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/snap.json";
+    auto child = [&path] {
+        struct rlimit lim = {512, 512};
+        ::signal(SIGXFSZ, SIG_IGN);
+        if (::setrlimit(RLIMIT_FSIZE, &lim) != 0)
+            std::_Exit(2);
+        try {
+            obs::writeFile(path, std::string(1000, 'x'));
+        } catch (const verify::SimError &e) {
+            bool clean = e.kind() == verify::ErrorKind::TraceIo &&
+                         !std::filesystem::exists(path) &&
+                         !std::filesystem::exists(path + ".tmp");
+            std::_Exit(clean ? 0 : 1);
+        }
+        std::_Exit(1);
+    };
+    EXPECT_EXIT(child(), ::testing::ExitedWithCode(0), "");
     std::filesystem::remove_all(dir);
 }
 

@@ -29,26 +29,6 @@ TEST(Lru, SetsAreIndependent)
     EXPECT_EQ(lru.victim(1), 1u);
 }
 
-TEST(Fifo, IgnoresHits)
-{
-    FifoPolicy fifo(1, 4);
-    for (unsigned w = 0; w < 4; ++w)
-        fifo.onFill(0, w, false);
-    fifo.onHit(0, 0);
-    fifo.onHit(0, 0);
-    EXPECT_EQ(fifo.victim(0), 0u);  // oldest fill despite hits
-}
-
-TEST(Fifo, RefillMovesToBack)
-{
-    FifoPolicy fifo(1, 3);
-    fifo.onFill(0, 0, false);
-    fifo.onFill(0, 1, false);
-    fifo.onFill(0, 2, false);
-    fifo.onFill(0, 0, false);  // way 0 refilled: now youngest
-    EXPECT_EQ(fifo.victim(0), 1u);
-}
-
 TEST(Srrip, HitPromotesToNearImminent)
 {
     SrripPolicy srrip(1, 2);
@@ -82,8 +62,7 @@ TEST(Drrip, BehavesAsValidPolicy)
 
 TEST(Factory, CreatesEveryKind)
 {
-    for (ReplKind k : {ReplKind::Lru, ReplKind::Fifo, ReplKind::Srrip,
-                       ReplKind::Drrip}) {
+    for (ReplKind k : {ReplKind::Lru, ReplKind::Srrip, ReplKind::Drrip}) {
         auto p = makeReplPolicy(k, 8, 4);
         ASSERT_NE(p, nullptr);
         p->onFill(0, 0, false);
@@ -126,7 +105,6 @@ TEST_P(PolicySweep, VictimAlwaysInRange)
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicySweep,
     ::testing::Values(PolicyParam{ReplKind::Lru, 64, 12},
-                      PolicyParam{ReplKind::Fifo, 8, 16},
                       PolicyParam{ReplKind::Srrip, 1024, 8},
                       PolicyParam{ReplKind::Drrip, 2048, 16},
                       PolicyParam{ReplKind::Drrip, 16, 4},

@@ -13,6 +13,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/table.hh"
+#include "sim/options.hh"
 #include "trace/champsim.hh"
 #include "trace/registry.hh"
 
@@ -112,12 +113,15 @@ main(int argc, char **argv)
             sim::SimOptions::fromEnvAndArgs(argc, argv);
         const std::string cmd = argc > 1 ? argv[1] : "";
         if (cmd == "record" && argc == 5)
-            return cmdRecord(argv[2], std::stoull(argv[3]), argv[4]);
+            return cmdRecord(argv[2], sim::parseInteger("count", argv[3], 1),
+                             argv[4]);
         if (cmd == "info" && argc == 3)
             return cmdInfo(argv[2]);
         if (cmd == "run" && (argc == 3 || argc == 4 || argc == 5)) {
             return cmdRun(opt, argv[2], argc > 3 ? argv[3] : "berti",
-                          argc > 4 ? std::stoull(argv[4]) : 200000);
+                          argc > 4 ? sim::parseInteger("instructions",
+                                                       argv[4], 1)
+                                   : 200000);
         }
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << "\n";
