@@ -30,7 +30,7 @@ main(int argc, char **argv)
                      "storage-KB"});
 
     SimResult baseline;
-    for (const std::string &name : {"none", "ip-stride", "berti"}) {
+    for (std::string name : {"none", "ip-stride", "berti"}) {
         PrefetcherSpec spec = makeSpec(name);
         SimResult r = simulate(workload, spec);
         if (name == "none")

@@ -134,10 +134,6 @@ Machine::configFingerprint() const
     h.add(static_cast<std::uint64_t>(cfg.dram.mtps));
     h.add(static_cast<std::uint64_t>(cfg.dram.linkLatency));
     h.add(static_cast<std::uint64_t>(cfg.dram.busBytes));
-    h.add(static_cast<std::uint64_t>(cfg.dram.sched == DramSchedKind::Fcfs
-                                         ? 1
-                                         : 0));
-    h.add(static_cast<std::uint64_t>(cfg.dram.starvationCap));
     h.add(std::string_view(cfg.memBackend.model));
     h.add(static_cast<std::uint64_t>(cfg.memBackend.channels));
 

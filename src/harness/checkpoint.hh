@@ -48,8 +48,11 @@ constexpr std::uint64_t kCheckpointMagic = 0x504b434954524542ull;
  *  per-channel sections in their own tags, and the config fingerprint
  *  folds the backend model/scheduler/geometry.
  *  v3: the trailing checksum became checkpointChecksum() (FNV-1a over
- *  64-bit words) instead of byte-wise FNV-1a; the payload is unchanged. */
-constexpr std::uint32_t kCheckpointVersion = 3;
+ *  64-bit words) instead of byte-wise FNV-1a; the payload is unchanged.
+ *  v4: the DRAM scheduler is FR-FCFS only — each DRAM section lost the
+ *  starvation-cap bypass counter (one u64 per channel) and the config
+ *  fingerprint no longer folds a scheduler kind or starvation cap. */
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** Bytes of header before the payload (magic + version + fingerprint
  *  + core count) and of the trailing checksum. */

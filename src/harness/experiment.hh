@@ -127,7 +127,7 @@ struct SimParams
 
     /**
      * Memory-backend spec (mem/backend_registry.hh grammar), e.g.
-     * "dram:ddr5" or "dram:hbm;sched=fcfs", and the one place the DRAM
+     * "dram:ddr5" or "dram:hbm", and the one place the DRAM
      * rate is set ("dram:ddr4;mtps=1600"). Empty = the default
      * dram:ddr4 backend (bit-identical to the pre-backend harness).
      * The canonical form is folded into paramsFingerprint() whenever

@@ -102,7 +102,7 @@ paramsFingerprint(const SimParams &params)
     h.add(on ? g.windowMeasure : 0);
     h.add(on ? g.stride() : 0);
     // Memory backend, canonicalised so equivalent specs share a key
-    // ("dram:ddr4;sched=frfcfs" == "dram:ddr4" == ""). Folded only when
+    // ("dram:ddr4;mtps=6400" == "dram:ddr4" == ""). Folded only when
     // it differs from the default backend, so every store entry written
     // before backends existed keeps its key.
     std::string backend = mem::canonicalBackendSpec(params.memBackend);

@@ -104,21 +104,13 @@ findPreset(const std::string &model, const std::string &spec)
            spec + "\" (known models: " + known + ")");
 }
 
-/** Non-default options rendered in a fixed order after the model. */
+/** The model plus mtps= when it differs from the preset's rate. */
 std::string
 canonicalOf(const ParsedBackend &b, const Preset &preset)
 {
     std::string canon = "dram:" + b.sel.model;
-    if (b.channel.sched == DramSchedKind::Fcfs)
-        canon += ";sched=fcfs";
-    if (b.channel.starvationCap != 0)
-        canon += ";cap=" + std::to_string(b.channel.starvationCap);
-    if (b.sel.channels != preset.channels)
-        canon += ";channels=" + std::to_string(b.sel.channels);
     if (b.channel.mtps != preset.config.mtps)
         canon += ";mtps=" + std::to_string(b.channel.mtps);
-    if (b.channel.banks != preset.config.banks)
-        canon += ";banks=" + std::to_string(b.channel.banks);
     return canon;
 }
 
@@ -157,31 +149,12 @@ parseBackendSpec(const std::string &spec_in)
 
     for (const sim::SpecOption &o :
          sim::parseSpecOptions(opts, kComponent)) {
-        if (o.key == "sched") {
-            if (o.value == "frfcfs") {
-                out.channel.sched = DramSchedKind::FrFcfs;
-            } else if (o.value == "fcfs") {
-                out.channel.sched = DramSchedKind::Fcfs;
-            } else {
-                reject("sched=\"" + o.value + "\" in spec \"" + spec +
-                       "\" is not a scheduler (frfcfs or fcfs)");
-            }
-        } else if (o.key == "cap") {
-            out.channel.starvationCap = sim::parseSpecUnsigned(
-                o.key, o.value, kComponent, /*zero_ok=*/true);
-        } else if (o.key == "channels") {
-            out.sel.channels =
-                sim::parseSpecUnsigned(o.key, o.value, kComponent);
-        } else if (o.key == "mtps") {
-            out.channel.mtps =
-                sim::parseSpecUnsigned(o.key, o.value, kComponent);
-        } else if (o.key == "banks") {
-            out.channel.banks =
-                sim::parseSpecUnsigned(o.key, o.value, kComponent);
-        } else {
+        if (o.key != "mtps") {
             reject("unknown option \"" + o.key + "\" in spec \"" + spec +
-                   "\" (known: sched, cap, channels, mtps, banks)");
+                   "\" (known: mtps)");
         }
+        out.channel.mtps =
+            sim::parseSpecUnsigned(o.key, o.value, kComponent);
     }
 
     // Degenerate option combinations (e.g. an mtps so high the burst

@@ -13,16 +13,17 @@
  * data rate, slightly slower absolute timings), lpddr5 (half-width
  * bus, slow timings, long link — the mobile latency corner) and hbm
  * (8 line-interleaved channels of a narrow-per-channel, moderate-rate
- * stack — the bandwidth corner). Options: sched=frfcfs|fcfs,
- * cap=N (FR-FCFS starvation cap, 0 = unbounded), channels=N, mtps=N,
- * banks=N. A repeated key takes its last value, so a sweep can append
- * ";mtps=N" to any spec. Unknown models, families, option keys or
- * malformed values throw verify::SimError(ErrorKind::Config) naming the
- * offending string.
+ * stack — the bandwidth corner). Every model schedules FR-FCFS with an
+ * open-page policy, the controller of the paper's Table II. The one
+ * option is mtps=N, the data rate (Figures 16-17 sweep it). A repeated
+ * key takes its last value, so a sweep can append ";mtps=N" to any
+ * spec. Unknown models, families, option keys or malformed values
+ * throw verify::SimError(ErrorKind::Config) naming the offending
+ * string.
  *
  * Canonicalization: canonicalBackendSpec() renders the model name plus
- * only the non-default options in a fixed order, so equivalent spec
- * strings ("", "dram:ddr4", "dram:ddr4;sched=frfcfs") share one
+ * mtps= only when it differs from the preset's, so equivalent spec
+ * strings ("", "dram:ddr4", "dram:ddr4;mtps=6400") share one
  * canonical form — the form harness::paramsFingerprint folds into
  * result-store keys (only when it differs from the default, keeping
  * every historical key stable).
@@ -61,7 +62,7 @@ struct ParsedBackend
 {
     BackendSel sel;
     DramConfig channel;     //!< validated per-channel config
-    std::string canonical;  //!< e.g. "dram:ddr4", "dram:hbm;sched=fcfs"
+    std::string canonical;  //!< e.g. "dram:ddr4", "dram:hbm;mtps=1600"
 };
 
 /**

@@ -152,16 +152,12 @@ Dram::scheduleOne()
 
     bool do_write = drainingWrites || (rq.empty() && !wq.empty());
     if (do_write) {
-        // FR-FCFS among writes: first row hit, else oldest. FCFS takes
-        // strictly the oldest. No starvation cap on the write side —
-        // writes are latency-insensitive and drain in bursts anyway.
+        // FR-FCFS among writes: first row hit, else oldest.
         std::size_t pick = 0;
-        if (cfg.sched == DramSchedKind::FrFcfs) {
-            for (std::size_t i = 0; i < wq.size(); ++i) {
-                if (banks[bankOf(wq[i])].openRow == rowOf(wq[i])) {
-                    pick = i;
-                    break;
-                }
+        for (std::size_t i = 0; i < wq.size(); ++i) {
+            if (banks[bankOf(wq[i])].openRow == rowOf(wq[i])) {
+                pick = i;
+                break;
             }
         }
         Addr p_line = wq[pick];
@@ -174,25 +170,17 @@ Dram::scheduleOne()
     if (rq.empty())
         return;
 
-    // FR-FCFS among reads: the oldest request to an open row wins;
-    // otherwise — and always under FCFS, or once the starvation cap is
-    // spent — the oldest request overall.
+    // FR-FCFS among reads: the oldest request to an open row wins,
+    // otherwise the oldest request overall. The row-hit preference is
+    // unbounded: a stream of row hits may bypass the oldest read
+    // indefinitely.
     std::size_t pick = 0;
-    bool found_hit = false;
-    if (cfg.sched == DramSchedKind::FrFcfs &&
-        (cfg.starvationCap == 0 || headBypassed < cfg.starvationCap)) {
-        for (std::size_t i = 0; i < rq.size(); ++i) {
-            if (banks[bankOf(rq[i].pLine)].openRow ==
-                rowOf(rq[i].pLine)) {
-                pick = i;
-                found_hit = true;
-                break;
-            }
+    for (std::size_t i = 0; i < rq.size(); ++i) {
+        if (banks[bankOf(rq[i].pLine)].openRow == rowOf(rq[i].pLine)) {
+            pick = i;
+            break;
         }
     }
-    if (!found_hit)
-        pick = 0;
-    headBypassed = pick == 0 ? 0 : headBypassed + 1;
 
     MemRequest req = rq[pick];
     rq.erase(pick);
@@ -286,7 +274,6 @@ Dram::visitState(sim::StateIO &io)
     io.b(drainingWrites);
     io.u64(busFreeCycle);
     io.u64(nextCompletionSeq);
-    io.u64(headBypassed);
 
     // The heap travels drained: pops come out in (finish, seq) order,
     // which is total, so the serialized layout is deterministic.

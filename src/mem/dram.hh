@@ -1,12 +1,13 @@
 /**
  * @file
- * DRAM controller + device timing model: FR-FCFS (or FCFS) scheduling,
- * per-bank open-page row buffers, read priority with a write-drain
- * watermark, and a shared data bus whose burst time is derived from the
- * configured MTPS and bus width (so the DDR4/DDR5/LPDDR5/HBM presets of
- * mem/backend_registry.hh — and Figures 16-17's speed sweep — are
- * config knobs on one model). One Dram is one channel; the
- * MultiChannelDram backend (mem/multichannel.hh) composes several.
+ * DRAM controller + device timing model: FR-FCFS scheduling (the
+ * paper's Table II controller), per-bank open-page row buffers, read
+ * priority with a write-drain watermark, and a shared data bus whose
+ * burst time is derived from the configured MTPS and bus width (so the
+ * DDR4/DDR5/LPDDR5/HBM presets of mem/backend_registry.hh — and
+ * Figures 16-17's speed sweep — are config knobs on one model). One
+ * Dram is one channel; the MultiChannelDram backend
+ * (mem/multichannel.hh) composes several.
  */
 
 #ifndef BERTI_MEM_DRAM_HH
@@ -30,13 +31,6 @@ namespace verify
 class FaultInjector;
 } // namespace verify
 
-/** Controller scheduling policy. */
-enum class DramSchedKind
-{
-    FrFcfs, //!< first-ready (open-row hit) first, else oldest
-    Fcfs    //!< strictly oldest-first
-};
-
 struct DramConfig
 {
     unsigned banks = 16;
@@ -49,18 +43,6 @@ struct DramConfig
     unsigned mtps = 6400;         //!< mega-transfers/s on the data bus
     unsigned busBytes = 8;        //!< data bus width in bytes
     double writeDrainWatermark = 7.0 / 8.0;
-
-    /** Scheduling policy; FR-FCFS is the historical default. */
-    DramSchedKind sched = DramSchedKind::FrFcfs;
-
-    /**
-     * FR-FCFS starvation cap: after this many consecutive scheduling
-     * decisions bypassed the oldest read in favour of a row hit, the
-     * oldest read is forced. 0 (default) keeps the historical
-     * unbounded row-hit preference. Applies to reads only — writes are
-     * latency-insensitive and drain in watermark bursts.
-     */
-    unsigned starvationCap = 0;
 
     /**
      * Off-chip round-trip overhead (controller front-end, PHY, on-die
@@ -148,9 +130,8 @@ class Dram : public mem::MemBackend
 
     /**
      * Checkpoint walk: banks, queues, the write-drain hysteresis flag,
-     * bus state, the starvation-cap bypass counter and the in-flight
-     * completion heap (drained in ascending order so the blob is
-     * deterministic).
+     * bus state and the in-flight completion heap (drained in ascending
+     * order so the blob is deterministic).
      */
     void visitState(sim::StateIO &io) override;
 
@@ -196,9 +177,6 @@ class Dram : public mem::MemBackend
     bool drainingWrites = false;
     Cycle busFreeCycle = 0;
     std::uint64_t nextCompletionSeq = 0;
-    /** Consecutive read picks that bypassed the queue head (FR-FCFS
-     *  starvation accounting; forces the head at cfg.starvationCap). */
-    std::uint64_t headBypassed = 0;
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
         inflight;

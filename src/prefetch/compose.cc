@@ -35,93 +35,47 @@ hashIp(Addr ip)
     return static_cast<std::size_t>(ip ^ (ip >> 13) ^ (ip >> 29));
 }
 
-void
-validateConfig(const std::string &spec, const HybridConfig &cfg,
-               std::size_t child_count)
-{
-    if (cfg.degree > 64)
-        failSpec(spec, "degree must be <= 64");
-    if (cfg.creditEntries == 0 || cfg.creditEntries > 65536)
-        failSpec(spec, "credits must be in [1, 65536]");
-    if (cfg.creditMax == 0 || cfg.creditMax > 255)
-        failSpec(spec, "credit-max must be in [1, 255]");
-    if (cfg.duelSets == 0 || cfg.duelSets > kDuelBuckets / 2)
-        failSpec(spec, "duel-sets must be in [1, " +
-                           std::to_string(kDuelBuckets / 2) + "]");
-    if (cfg.pselBits == 0 || cfg.pselBits > 20)
-        failSpec(spec, "psel-bits must be in [1, 20]");
-    if (cfg.select == HybridSelect::Duel && child_count != 2) {
-        failSpec(spec, "select=duel needs exactly 2 children, got " +
-                           std::to_string(child_count));
-    }
-}
+/** Issue-attribution map entries (line -> issuing child), per map. */
+constexpr unsigned kAttributionEntries = 1024;
+/** Per-IP credit table rows (select=ip). */
+constexpr unsigned kCreditEntries = 256;
+/** Saturating credit ceiling, and the bits a credit counter needs. */
+constexpr unsigned kCreditMax = 15;
+constexpr unsigned kCreditBits = 4;
+static_assert((1u << kCreditBits) > kCreditMax &&
+              (1u << (kCreditBits - 1)) <= kCreditMax);
+/** Leader buckets per child (select=duel). */
+constexpr unsigned kDuelSets = 64;
+static_assert(kDuelSets <= kDuelBuckets / 2);
+/** PSEL width: the counter lives in [0, 2^kPselBits). */
+constexpr unsigned kPselBits = 10;
 
-/** One parsed hybrid(...) node: canonical child spellings + config. */
-struct HybridNode
+/** One parsed hybrid(...) spec: child names + selection policy. */
+struct ParsedHybrid
 {
     std::vector<std::string> children;
-    HybridConfig cfg;
+    HybridSelect select = HybridSelect::All;
     std::string canonical;
 };
 
-/** Canonical option suffix: every field that differs from the compiled
- *  defaults, in fixed order, so spec strings that simulate differently
- *  never canonicalize to the same name. */
-std::string
-canonicalOpts(const HybridConfig &cfg)
-{
-    const HybridConfig def;
-    std::string out;
-    if (cfg.select == HybridSelect::Ip)
-        out += ";select=ip";
-    else if (cfg.select == HybridSelect::Duel)
-        out += ";select=duel";
-    if (cfg.degree != def.degree)
-        out += ";degree=" + std::to_string(cfg.degree);
-    if (cfg.creditEntries != def.creditEntries)
-        out += ";credits=" + std::to_string(cfg.creditEntries);
-    if (cfg.creditMax != def.creditMax)
-        out += ";credit-max=" + std::to_string(cfg.creditMax);
-    if (cfg.duelSets != def.duelSets)
-        out += ";duel-sets=" + std::to_string(cfg.duelSets);
-    if (cfg.pselBits != def.pselBits)
-        out += ";psel-bits=" + std::to_string(cfg.pselBits);
-    return out;
-}
-
-/** One `key=value` hybrid option onto cfg; validateConfig checks the
- *  ranges once every option is in. */
+/** The `;key=value` tail onto parsed.select; select is the one key. */
 void
 applyOption(const std::string &spec, const sim::SpecOption &o,
-            HybridConfig &cfg)
+            ParsedHybrid &parsed)
 {
-    if (o.key == "select") {
-        if (o.value == "all")
-            cfg.select = HybridSelect::All;
-        else if (o.value == "ip")
-            cfg.select = HybridSelect::Ip;
-        else if (o.value == "duel")
-            cfg.select = HybridSelect::Duel;
-        else
-            failSpec(spec, "select must be all, ip or duel (got \"" +
-                               o.value + "\")");
-        return;
+    if (o.key != "select") {
+        failSpec(spec, "unknown option \"" + o.key +
+                           "\" (known: select)");
     }
-    unsigned *field = o.key == "degree"       ? &cfg.degree
-                      : o.key == "credits"    ? &cfg.creditEntries
-                      : o.key == "credit-max" ? &cfg.creditMax
-                      : o.key == "duel-sets"  ? &cfg.duelSets
-                      : o.key == "psel-bits"  ? &cfg.pselBits
-                                              : nullptr;
-    if (!field)
-        failSpec(spec, "unknown option \"" + o.key + "\"");
-    try {
-        *field = sim::parseSpecUnsigned(o.key, o.value, "prefetch",
-                                        /*zero_ok=*/true);
-    } catch (const verify::SimError &) {
-        failSpec(spec, "option " + o.key + "=\"" + o.value +
-                           "\" is not a valid number");
-    }
+    if (o.value == "all")
+        parsed.select = HybridSelect::All;
+    else if (o.value == "ip")
+        parsed.select = HybridSelect::Ip;
+    else if (o.value == "duel")
+        parsed.select = HybridSelect::Duel;
+    else
+        failSpec(spec, "select must be all, ip or duel (got \"" +
+                           o.value + "\")");
 }
 
 bool
@@ -130,57 +84,49 @@ plainNameChar(char c)
     return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-';
 }
 
-/** Recursive-descent parse of spec[pos..]; pos is left one past the
- *  closing ')'. `spec` is the full string, for error context. */
-HybridNode
-parseHybrid(const std::string &spec, std::size_t &pos, unsigned depth)
+/** Parse the whole spec string; anything malformed throws. */
+ParsedHybrid
+parseHybrid(const std::string &spec)
 {
-    if (depth > kMaxHybridDepth) {
-        failSpec(spec, "nesting deeper than " +
-                           std::to_string(kMaxHybridDepth) + " levels");
-    }
     constexpr const char *kPrefix = "hybrid(";
-    if (spec.compare(pos, 7, kPrefix) != 0)
-        failSpec(spec, "expected \"hybrid(\" at offset " +
-                           std::to_string(pos));
-    pos += 7;
+    if (spec.compare(0, 7, kPrefix) != 0)
+        failSpec(spec, "expected \"hybrid(\" at offset 0");
+    std::size_t pos = 7;
 
-    HybridNode node;
+    ParsedHybrid parsed;
 
-    // Children: name | nested hybrid, comma-separated, >= 2 of them.
+    // Children: registered leaf names, comma-separated, >= 2 of them.
     while (true) {
         if (pos >= spec.size())
             failSpec(spec, "unterminated child list (missing ')')");
         if (spec.compare(pos, 7, kPrefix) == 0) {
-            HybridNode sub = parseHybrid(spec, pos, depth + 1);
-            node.children.push_back(sub.canonical);
-        } else {
-            std::size_t start = pos;
-            while (pos < spec.size() && plainNameChar(spec[pos]))
-                ++pos;
-            std::string name = spec.substr(start, pos - start);
-            if (name.empty()) {
-                failSpec(spec, "empty child name at offset " +
-                                   std::to_string(start));
-            }
-            if (!known(name)) {
-                failSpec(spec, "unknown child prefetcher \"" + name +
-                                   "\"");
-            }
-            node.children.push_back(name);
+            failSpec(spec, "nested hybrid(...) child at offset " +
+                               std::to_string(pos) +
+                               " (children must be registered names)");
         }
+        std::size_t start = pos;
+        while (pos < spec.size() && plainNameChar(spec[pos]))
+            ++pos;
+        std::string name = spec.substr(start, pos - start);
+        if (name.empty()) {
+            failSpec(spec, "empty child name at offset " +
+                               std::to_string(start));
+        }
+        if (!known(name))
+            failSpec(spec, "unknown child prefetcher \"" + name + "\"");
+        parsed.children.push_back(name);
         if (pos < spec.size() && spec[pos] == ',') {
             ++pos;
             continue;
         }
         break;
     }
-    if (node.children.size() < 2)
+    if (parsed.children.size() < 2)
         failSpec(spec, "a hybrid needs at least 2 children");
-    if (node.children.size() > kMaxHybridChildren) {
+    if (parsed.children.size() > kMaxHybridChildren) {
         failSpec(spec, "at most " + std::to_string(kMaxHybridChildren) +
                            " children supported, got " +
-                           std::to_string(node.children.size()));
+                           std::to_string(parsed.children.size()));
     }
 
     // Options: ";key=value"* up to the closing ')', in the shared
@@ -198,36 +144,33 @@ parseHybrid(const std::string &spec, std::size_t &pos, unsigned depth)
         }
         pos = close;
         for (const sim::SpecOption &o : opts)
-            applyOption(spec, o, node.cfg);
+            applyOption(spec, o, parsed);
     }
 
     if (pos >= spec.size() || spec[pos] != ')')
         failSpec(spec, "missing ')' at offset " + std::to_string(pos));
     ++pos;
-
-    validateConfig(spec, node.cfg, node.children.size());
-
-    node.canonical = "hybrid(";
-    for (std::size_t i = 0; i < node.children.size(); ++i) {
-        if (i > 0)
-            node.canonical += ",";
-        node.canonical += node.children[i];
-    }
-    node.canonical += canonicalOpts(node.cfg) + ")";
-    return node;
-}
-
-/** Whole-string parse: trailing junk after the spec is malformed. */
-HybridNode
-parseWhole(const std::string &spec)
-{
-    std::size_t pos = 0;
-    HybridNode node = parseHybrid(spec, pos, 1);
     if (pos != spec.size()) {
         failSpec(spec, "trailing characters after spec at offset " +
                            std::to_string(pos));
     }
-    return node;
+    if (parsed.select == HybridSelect::Duel && parsed.children.size() != 2) {
+        failSpec(spec, "select=duel needs exactly 2 children, got " +
+                           std::to_string(parsed.children.size()));
+    }
+
+    parsed.canonical = "hybrid(";
+    for (std::size_t i = 0; i < parsed.children.size(); ++i) {
+        if (i > 0)
+            parsed.canonical += ",";
+        parsed.canonical += parsed.children[i];
+    }
+    if (parsed.select == HybridSelect::Ip)
+        parsed.canonical += ";select=ip";
+    else if (parsed.select == HybridSelect::Duel)
+        parsed.canonical += ";select=duel";
+    parsed.canonical += ")";
+    return parsed;
 }
 
 } // namespace
@@ -241,32 +184,31 @@ isHybridSpec(const std::string &name)
 std::string
 canonicalHybridSpec(const std::string &spec)
 {
-    return parseWhole(spec).canonical;
+    return parseHybrid(spec).canonical;
 }
 
 Factory
 makeHybridFactory(const std::string &spec)
 {
-    HybridNode node = parseWhole(spec);
+    ParsedHybrid parsed = parseHybrid(spec);
 
     // Resolve child factories eagerly so an unknown child fails at
-    // spec-resolution time, not on first Machine construction. Nested
-    // canonical specs are self-describing, so they rebuild as is.
+    // spec-resolution time, not on first Machine construction.
     std::vector<Factory> kids;
-    kids.reserve(node.children.size());
-    for (const std::string &child : node.children)
+    kids.reserve(parsed.children.size());
+    for (const std::string &child : parsed.children)
         kids.push_back(make(child));
 
-    std::string canonical = node.canonical;
-    HybridConfig cfg = node.cfg;
-    return [canonical, cfg, kids] {
+    std::string canonical = parsed.canonical;
+    HybridSelect select = parsed.select;
+    return [canonical, select, kids] {
         std::vector<std::unique_ptr<Prefetcher>> built;
         built.reserve(kids.size());
         for (const Factory &f : kids) {
             built.push_back(f ? f()
                               : std::make_unique<NoPrefetcher>());
         }
-        return std::make_unique<HybridPrefetcher>(canonical, cfg,
+        return std::make_unique<HybridPrefetcher>(canonical, select,
                                                   std::move(built));
     };
 }
@@ -306,9 +248,9 @@ class HybridPrefetcher::ChildPort : public PrefetchPort
 };
 
 HybridPrefetcher::HybridPrefetcher(
-    std::string canonical_name, const HybridConfig &config,
+    std::string canonical_name, HybridSelect select_policy,
     std::vector<std::unique_ptr<Prefetcher>> kids)
-    : canonical(std::move(canonical_name)), cfg(config),
+    : canonical(std::move(canonical_name)), policy(select_policy),
       children(std::move(kids))
 {
     ports.reserve(children.size());
@@ -316,13 +258,13 @@ HybridPrefetcher::HybridPrefetcher(
         ports.push_back(std::make_unique<ChildPort>(this, i));
         children[i]->bind(ports.back().get());
     }
-    issued.resize(cfg.attributionEntries);
-    issuedPhys.resize(cfg.attributionEntries);
-    if (cfg.select == HybridSelect::Ip) {
-        credits.resize(cfg.creditEntries);
-        shadow.resize(cfg.attributionEntries);
+    issued.resize(kAttributionEntries);
+    issuedPhys.resize(kAttributionEntries);
+    if (policy == HybridSelect::Ip) {
+        credits.resize(kCreditEntries);
+        shadow.resize(kAttributionEntries);
     }
-    psel = 1u << (cfg.pselBits - 1);  // neutral: winner is child 0
+    psel = 1u << (kPselBits - 1);  // neutral: winner is child 0
 }
 
 HybridPrefetcher::~HybridPrefetcher() = default;
@@ -332,9 +274,9 @@ HybridPrefetcher::duelRoleOf(Addr trigger_line) const
 {
     unsigned bucket = static_cast<unsigned>(
         (trigger_line ^ (trigger_line >> 10)) % kDuelBuckets);
-    if (bucket < cfg.duelSets)
+    if (bucket < kDuelSets)
         return DuelRole::Leader0;
-    if (bucket >= kDuelBuckets - cfg.duelSets)
+    if (bucket >= kDuelBuckets - kDuelSets)
         return DuelRole::Leader1;
     return DuelRole::Follower;
 }
@@ -342,7 +284,7 @@ HybridPrefetcher::duelRoleOf(Addr trigger_line) const
 unsigned
 HybridPrefetcher::duelWinner() const
 {
-    return psel <= (1u << (cfg.pselBits - 1)) ? 0 : 1;
+    return psel <= (1u << (kPselBits - 1)) ? 0 : 1;
 }
 
 std::size_t
@@ -384,14 +326,14 @@ HybridPrefetcher::creditAdjust(Addr ip, unsigned child, int delta)
             row.credit[c] = 0;
     }
     int v = static_cast<int>(row.credit[child]) + delta;
-    v = std::clamp(v, 0, static_cast<int>(cfg.creditMax));
+    v = std::clamp(v, 0, static_cast<int>(kCreditMax));
     row.credit[child] = static_cast<std::uint8_t>(v);
 }
 
 void
 HybridPrefetcher::pselAdjust(DuelRole role, unsigned child, bool toward)
 {
-    if (cfg.select != HybridSelect::Duel)
+    if (policy != HybridSelect::Duel)
         return;
     // Only leader-bucket feedback trains PSEL, and only feedback about
     // the bucket's own leader (classic set-dueling).
@@ -399,7 +341,7 @@ HybridPrefetcher::pselAdjust(DuelRole role, unsigned child, bool toward)
     bool leader1 = role == DuelRole::Leader1 && child == 1;
     if (!leader0 && !leader1)
         return;
-    const unsigned cap = (1u << cfg.pselBits) - 1;
+    const unsigned cap = (1u << kPselBits) - 1;
     // "toward" child 0 decrements, "toward" child 1 increments.
     bool down = leader0 == toward;
     if (down) {
@@ -485,22 +427,21 @@ HybridPrefetcher::arbitrate(const AccessInfo &info)
         max_count = std::max(max_count, counts[c]);
     }
 
-    // Budget: explicit degree, or the greediest child's own pressure.
-    const std::size_t budget =
-        cfg.degree > 0 ? cfg.degree : max_count;
+    // Budget: the greediest child's own pressure.
+    const std::size_t budget = max_count;
 
     // Policy: which children may issue for this trigger?
     Addr trigger = info.vLine != kNoAddr ? info.vLine : info.pLine;
     bool allowed[kMaxHybridChildren];
     for (std::size_t c = 0; c < children.size(); ++c)
         allowed[c] = true;
-    if (cfg.select == HybridSelect::Ip) {
+    if (policy == HybridSelect::Ip) {
         std::size_t sel = selectedChildFor(info.ip);
         if (sel < children.size()) {
             for (std::size_t c = 0; c < children.size(); ++c)
                 allowed[c] = c == sel;
         }
-    } else if (cfg.select == HybridSelect::Duel) {
+    } else if (policy == HybridSelect::Duel) {
         DuelRole role = duelRoleOf(trigger);
         unsigned sel = role == DuelRole::Leader0   ? 0u
                        : role == DuelRole::Leader1 ? 1u
@@ -508,7 +449,7 @@ HybridPrefetcher::arbitrate(const AccessInfo &info)
         for (std::size_t c = 0; c < children.size(); ++c)
             allowed[c] = c == sel;
     }
-    DuelRole role = cfg.select == HybridSelect::Duel
+    DuelRole role = policy == HybridSelect::Duel
                         ? duelRoleOf(trigger)
                         : DuelRole::Follower;
 
@@ -619,18 +560,15 @@ HybridPrefetcher::storageBits() const
         bits += child->storageBits();
     // Attribution maps: truncated 32-bit line tag + child (2) + role
     // (2) + 16-bit IP hash tag, per entry, both v- and p-keyed.
-    bits += 2ull * cfg.attributionEntries * (32 + 2 + 2 + 16);
-    if (cfg.select == HybridSelect::Ip) {
-        unsigned credit_bits = 1;
-        while ((1u << credit_bits) <= cfg.creditMax)
-            ++credit_bits;
-        bits += static_cast<std::uint64_t>(cfg.creditEntries) *
-                (16 + kMaxHybridChildren * credit_bits);
-        bits += static_cast<std::uint64_t>(cfg.attributionEntries) *
+    bits += 2ull * kAttributionEntries * (32 + 2 + 2 + 16);
+    if (policy == HybridSelect::Ip) {
+        bits += std::uint64_t{kCreditEntries} *
+                (16 + kMaxHybridChildren * kCreditBits);
+        bits += std::uint64_t{kAttributionEntries} *
                 (32 + 2 + 2 + 16);  // shadow table
     }
-    if (cfg.select == HybridSelect::Duel)
-        bits += cfg.pselBits;
+    if (policy == HybridSelect::Duel)
+        bits += kPselBits;
     return bits;
 }
 
@@ -641,7 +579,7 @@ HybridPrefetcher::debugState() const
     os << canonical << ": forwarded " << stats.forwarded << "/"
        << stats.proposals << " proposals, suppressed "
        << stats.suppressed << ", budget-dropped " << stats.budgetDropped;
-    if (cfg.select == HybridSelect::Duel)
+    if (policy == HybridSelect::Duel)
         os << ", psel " << psel << " (winner child " << duelWinner()
            << ")";
     for (std::size_t c = 0; c < children.size(); ++c) {
@@ -660,7 +598,7 @@ HybridPrefetcher::registerMetrics(obs::MetricsRegistry &registry,
     forEachStatField(stats, [&](const char *name, std::uint64_t &cell) {
         registry.counter(prefix + "hybrid." + name, &cell);
     });
-    if (cfg.select == HybridSelect::Duel) {
+    if (policy == HybridSelect::Duel) {
         registry.gauge(prefix + "hybrid.psel",
                        [this] { return static_cast<double>(psel); });
     }

@@ -10,29 +10,25 @@
  *     hybrid(berti,cmc)                    union, budget-governed
  *     hybrid(berti,cmc;select=ip)          per-IP credit selector
  *     hybrid(berti,markov;select=duel)     set-dueling, 2 children
- *     hybrid(berti,hybrid(cmc,markov))     nesting (depth-capped)
  *
  * Grammar (strict, no whitespace):
- *     hybrid   := "hybrid(" spec ("," spec)+ (";" key "=" value)* ")"
- *     spec     := hybrid | <registered name>
- *     keys     := select (all|ip|duel) | degree | credits | credit-max
- *               | duel-sets | psel-bits
+ *     hybrid   := "hybrid(" name ("," name)+ (";select=" policy)* ")"
+ *     name     := <registered leaf prefetcher name>
+ *     policy   := all | ip | duel
  * The option tail is the backend specs' `;key=value` list
- * (sim::parseSpecOptions, last value wins) and numbers go through
- * sim::parseSpecUnsigned. Selector geometry lives only here:
- * "hybrid(berti,cmc;degree=2)" is the one way to set it.
+ * (sim::parseSpecOptions, last value wins); select is its one key.
+ * Children are leaf names: a nested hybrid(...) child is rejected.
  * Malformed input throws verify::SimError(ErrorKind::Config) naming the
- * offending sub-spec; parsing never crashes (fuzzed in test_compose).
+ * offending spec; parsing never crashes (fuzzed in test_compose).
  *
  * Mechanics (all deterministic, bounded, checkpointable):
  *  - Every child observes every onAccess/onFill/tick, so each keeps
  *    training exactly as it would standalone; only *issue* is gated.
  *    Child issues are staged per hook call, deduplicated, filtered by
  *    the policy, capped by the budget and then forwarded round-robin.
- *  - Budget: at most `degree` forwards per hook call; degree 0 (the
- *    default) derives the cap from the greediest child's own proposal
- *    count in that call, so a hybrid never exerts more PQ pressure
- *    than its greediest child would alone.
+ *  - Budget: the forwards per hook call are capped at the greediest
+ *    child's own proposal count in that call, so a hybrid never exerts
+ *    more PQ pressure than its greediest child would alone.
  *  - select=ip: a direct-mapped credit table keyed by trigger IP.
  *    Useful prefetches (AccessInfo::firstHitOnPrefetch) raise the
  *    issuing child's credit; evicted-unused prefetches lower it; late
@@ -67,22 +63,8 @@ enum class HybridSelect : std::uint8_t
     Duel   //!< set-dueling between exactly two children
 };
 
-struct HybridConfig
-{
-    HybridSelect select = HybridSelect::All;
-    /** Per-hook-call forward cap; 0 = greediest-child governor. */
-    unsigned degree = 0;
-    unsigned creditEntries = 256;  //!< per-IP credit table rows
-    unsigned creditMax = 15;       //!< saturating credit ceiling
-    unsigned duelSets = 64;        //!< leader buckets per child
-    unsigned pselBits = 10;        //!< PSEL width (counter in [0, 2^b))
-    /** Issue-attribution map entries (line -> issuing child). */
-    unsigned attributionEntries = 1024;
-};
-
-/** Hard ceiling on children per hybrid (and kMaxDepth on nesting). */
+/** Hard ceiling on children per hybrid; sizes each credit row. */
 constexpr std::size_t kMaxHybridChildren = 4;
-constexpr unsigned kMaxHybridDepth = 4;
 /** Trigger-line bucket count for set-dueling. */
 constexpr unsigned kDuelBuckets = 1024;
 
@@ -92,17 +74,16 @@ bool isHybridSpec(const std::string &name);
 /**
  * Parse + validate a hybrid spec string against the registry (child
  * names must be resolvable) and return its canonical spelling: child
- * order preserved, options listed in fixed order, and every config
- * value that differs from the compiled defaults spelled out — so two
- * specs simulate identically iff their canonical names are equal, and
- * result-store keys can never collide across selector geometry. Throws
- * verify::SimError(ErrorKind::Config) naming the malformed sub-spec.
+ * order preserved and select= spelled out unless it is the default
+ * (all) — so two specs simulate identically iff their canonical names
+ * are equal. Throws verify::SimError(ErrorKind::Config) naming the
+ * malformed spec.
  */
 std::string canonicalHybridSpec(const std::string &spec);
 
 /**
  * Build a factory for a hybrid spec. The factory captures the parsed
- * tree, so each call constructs a fresh, independent hybrid (children
+ * spec, so each call constructs a fresh, independent hybrid (children
  * built through the registry). Throws the same typed errors as
  * canonicalHybridSpec on a malformed spec.
  */
@@ -128,7 +109,7 @@ class HybridPrefetcher : public Prefetcher
         static std::span<const StatField<Stats>> fields();
     };
 
-    HybridPrefetcher(std::string canonical_name, const HybridConfig &cfg,
+    HybridPrefetcher(std::string canonical_name, HybridSelect policy,
                      std::vector<std::unique_ptr<Prefetcher>> children);
     ~HybridPrefetcher() override;
 
@@ -145,7 +126,6 @@ class HybridPrefetcher : public Prefetcher
     void visitState(sim::StateIO &io) override;
 
     // ------------------------------------------------- introspection
-    const HybridConfig &config() const { return cfg; }
     Prefetcher &child(std::size_t i) { return *children[i]; }
     const Stats &hybridStats() const { return stats; }
     /** Current PSEL winner (duel policy): 0 or 1. */
@@ -202,7 +182,7 @@ class HybridPrefetcher : public Prefetcher
     IssueEntry *lookupPhysical(Addr p_line);
 
     std::string canonical;
-    HybridConfig cfg;
+    HybridSelect policy;
     std::vector<std::unique_ptr<Prefetcher>> children;
     std::vector<std::unique_ptr<ChildPort>> ports;
 

@@ -85,7 +85,7 @@ struct SimOptions
     // ----------------------------------------------- memory backend
     /**
      * Memory-backend spec (BERTI_MEM_BACKEND / --mem-backend=), e.g.
-     * "dram:ddr5" or "dram:hbm;sched=fcfs"; empty keeps the default
+     * "dram:ddr5" or "dram:hbm;mtps=1600"; empty keeps the default
      * (dram:ddr4, the historical timings). Stored raw here — options
      * parsing stays layering-clean below src/mem — and validated with
      * typed errors where it is resolved

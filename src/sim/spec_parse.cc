@@ -66,12 +66,11 @@ parseSpecOptions(const std::string &text, const std::string &component)
 
 unsigned
 parseSpecUnsigned(const std::string &key, const std::string &value,
-                  const std::string &component, bool zero_ok)
+                  const std::string &component)
 {
     try {
-        return static_cast<unsigned>(
-            parseInteger(key, value, zero_ok ? 0 : 1,
-                         std::numeric_limits<unsigned>::max()));
+        return static_cast<unsigned>(parseInteger(
+            key, value, 1, std::numeric_limits<unsigned>::max()));
     } catch (const verify::SimError &e) {
         throw verify::SimError(verify::ErrorKind::Config, component,
                                e.reason());

@@ -3,12 +3,12 @@
  * Shared paren-aware spec-string parsing. Every grammar in the harness
  * that splits composite names — prefetcher combos ("mlop+bingo",
  * "hybrid(berti,cmc;select=ip)"), workload lists with `file:` URIs,
- * memory-backend specs ("dram:ddr5;sched=fcfs") — splits at paren
+ * memory-backend specs ("dram:ddr5;mtps=3200") — splits at paren
  * depth 0 so nested argument lists stay intact. This header is that
- * one splitter, plus the `;key=value` option-list parser and the
- * option integer parser that the backend ("dram:ddr4;mtps=3200") and
- * hybrid ("hybrid(berti,cmc;degree=2)") grammars share, so the two
- * spell options and numbers the same way.
+ * one splitter, plus the `;key=value` option-list parser that the
+ * backend ("dram:ddr4;mtps=3200") and hybrid
+ * ("hybrid(berti,cmc;select=ip)") grammars share, so the two spell
+ * options the same way, and the option integer parser for mtps=.
  */
 
 #ifndef BERTI_SIM_SPEC_PARSE_HH
@@ -45,7 +45,7 @@ struct SpecOption
 
 /**
  * Parse a `;`-separated `key=value` option list (the text after the
- * first `;` of a spec like "dram:ddr5;sched=fcfs;cap=8"). A clause
+ * first `;` of a spec like "dram:ddr5;mtps=3200"). A clause
  * without '=' or with an empty key throws
  * verify::SimError(ErrorKind::Config) naming `component` and the
  * offending clause; empty clauses (";;") are dropped.
@@ -55,14 +55,13 @@ std::vector<SpecOption> parseSpecOptions(const std::string &text,
 
 /**
  * A spec option's integer value, through sim::parseInteger: a plain
- * decimal (or 0x hex) integer that fits 32 bits, and not zero unless
- * `zero_ok`. Anything else — a sign, whitespace, junk, overflow —
- * throws verify::SimError(ErrorKind::Config) naming `component`, `key`
- * and the value.
+ * decimal (or 0x hex) integer in [1, 2^32). Anything else — zero, a
+ * sign, whitespace, junk, overflow — throws
+ * verify::SimError(ErrorKind::Config) naming `component`, `key` and
+ * the value.
  */
 unsigned parseSpecUnsigned(const std::string &key, const std::string &value,
-                           const std::string &component,
-                           bool zero_ok = false);
+                           const std::string &component);
 
 } // namespace berti::sim
 

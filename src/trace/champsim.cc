@@ -268,6 +268,14 @@ StreamTraceSource::consume(std::size_t n)
 void
 StreamTraceSource::rewind()
 {
+    // A stream that hit EOF before its buffer ever compacted is still
+    // whole in buf: replay it rather than re-spawn the decompressor on
+    // every pass of a cyclic replay.
+    if (eof && consumed == head) {
+        head = 0;
+        consumed = 0;
+        return;
+    }
     close();
     head = tail = 0;
     consumed = 0;

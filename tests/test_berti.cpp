@@ -56,17 +56,6 @@ runStream(BertiPrefetcher &b, RecordingPort &port, unsigned count,
     }
 }
 
-bool
-hasStatus(const std::vector<BertiPrefetcher::DeltaInfo> &deltas, int delta,
-          BertiPrefetcher::DeltaStatus status)
-{
-    for (const auto &d : deltas) {
-        if (d.delta == delta && d.status == status)
-            return true;
-    }
-    return false;
-}
-
 } // namespace
 
 TEST(Berti, Figure4TimelyDeltaScenario)
@@ -383,12 +372,14 @@ TEST(Berti, DistinctDeltasPerIp)
     ASSERT_FALSE(d1.empty());
     ASSERT_FALSE(d2.empty());
     for (const auto &d : d1) {
-        if (d.status != BertiPrefetcher::DeltaStatus::NoPref)
+        if (d.status != BertiPrefetcher::DeltaStatus::NoPref) {
             EXPECT_GT(d.delta, 0);
+        }
     }
     for (const auto &d : d2) {
-        if (d.status != BertiPrefetcher::DeltaStatus::NoPref)
+        if (d.status != BertiPrefetcher::DeltaStatus::NoPref) {
             EXPECT_LT(d.delta, 0);
+        }
     }
 }
 
@@ -487,8 +478,9 @@ TEST_P(BertiWatermarkSweep, StatusesRespectWatermarks)
     // ~50% coverage deltas: L1 only if the watermark admits them.
     auto deltas = b.deltasFor(kIp);
     for (const auto &d : deltas) {
-        if (d.status == BertiPrefetcher::DeltaStatus::L1Pref)
+        if (d.status == BertiPrefetcher::DeltaStatus::L1Pref) {
             EXPECT_LT(l1_wm, 0.55);
+        }
     }
 }
 
@@ -516,8 +508,9 @@ TEST_P(BertiSizeSweep, WorksAtEveryTableScale)
     b.bind(&port);
     runStream(b, port, 300, 40, 100);
     EXPECT_GT(b.historySearches, 0u);
-    if (scale >= 4)  // at 1x and above the stream pattern is learned
+    if (scale >= 4) {  // at 1x and above the stream pattern is learned
         EXPECT_FALSE(b.deltasFor(kIp).empty());
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, BertiSizeSweep,

@@ -262,8 +262,9 @@ writeBytes(const std::string &path, const std::vector<unsigned char> &b)
 {
     std::FILE *f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr) << path;
-    if (!b.empty())
+    if (!b.empty()) {
         ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+    }
     ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -791,7 +792,7 @@ TEST(ChampSimSources, AllThreeLayersYieldTheSameStream)
 
     // Rewind restarts every layer identically, including the
     // register-dependence tracking — the stream source above is at EOF
-    // and must reopen from byte 0.
+    // and must restart from byte 0.
     ChampSimDecoder dec(*streamSrc);
     dec.rewind();
     TraceInstr first;
@@ -809,11 +810,41 @@ TEST(ChampSimSources, StreamRefillCrossesBufferBoundaries)
     if (!xzAvailable())
         GTEST_SKIP() << "no xz tool on this host";
     std::vector<TraceInstr> expect = decodeAll(*makeSourceLayer(0));
-    std::vector<TraceInstr> got =
-        decodeAll(*makeSourceLayer(1, /*streamBuffer=*/200));
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_TRUE(sameInstr(got[i], expect[i])) << i;
+    std::unique_ptr<TraceSource> src =
+        makeSourceLayer(1, /*streamBuffer=*/200);
+    // Two passes: the second rewinds a stream that no longer fits its
+    // buffer, so it re-opens the pipe from byte 0.
+    for (int pass = 0; pass < 2; ++pass) {
+        if (pass > 0)
+            src->rewind();
+        std::vector<TraceInstr> got = decodeAll(*src);
+        ASSERT_EQ(got.size(), expect.size()) << "pass " << pass;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_TRUE(sameInstr(got[i], expect[i])) << pass << ":" << i;
+    }
+}
+
+TEST(ChampSimSources, StreamRewindReplaysAWholeBufferedStream)
+{
+    // A compressed stream that fits the buffer is decoded once: rewind
+    // replays the buffered bytes, so a later pass needs neither the
+    // file nor a new decompressor process.
+    if (!xzAvailable())
+        GTEST_SKIP() << "no xz tool on this host";
+    const std::string path =
+        std::string(::testing::TempDir()) + "/berti_rewind.champsim.xz";
+    writeBytes(path, readBytes(dataPath("mini.champsim.xz")));
+    StreamTraceSource src(path);
+    std::vector<TraceInstr> first = decodeAll(src);
+    ASSERT_EQ(first.size(), 48u);
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+
+    src.rewind();
+    EXPECT_EQ(src.offset(), 0u);
+    std::vector<TraceInstr> second = decodeAll(src);
+    ASSERT_EQ(second.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+        EXPECT_TRUE(sameInstr(first[i], second[i])) << i;
 }
 
 TEST(ChampSimSources, MissingFileAndEmptyFileAreTypedErrors)

@@ -430,9 +430,9 @@ TEST(Checkpoint, PristineLayoutIsPinned)
         std::uint64_t hash;
     };
     const std::array<Pin, 3> pins = {{
-        {"berti", "", 1574510, 0x77a8fbf0028949a5ull},
-        {"hybrid(berti,cmc)", "", 1655530, 0x037d7395965ae91bull},
-        {"berti", "dram:hbm", 1579125, 0x29a2c174ea250639ull},
+        {"berti", "", 1574502, 0xfb39554d8935acb7ull},
+        {"hybrid(berti,cmc)", "", 1655522, 0xe8b51f282c351883ull},
+        {"berti", "dram:hbm", 1579061, 0x99d76c84c98ba6a7ull},
     }};
     for (const Pin &pin : pins) {
         const Workload &w = findWorkload("mcf-like.472");

@@ -4,9 +4,8 @@
  * canonicalization (including a fuzz pass — malformed input must throw
  * the typed Config error, never crash), selection-policy unit tests
  * with scripted children (per-IP credits, set-dueling, the budget
- * governor), in-spec selector geometry reaching the built prefetcher,
- * parallel-runner determinism across job counts, and result-store key
- * separation.
+ * governor), parallel-runner determinism across job counts, and
+ * result-store key separation.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 namespace berti
 {
 
-using prefetch::HybridConfig;
 using prefetch::HybridPrefetcher;
 using prefetch::HybridSelect;
 using test::RecordingPort;
@@ -94,13 +92,13 @@ class ScriptedChild : public Prefetcher
 };
 
 std::unique_ptr<HybridPrefetcher>
-makeScriptedHybrid(const HybridConfig &cfg,
+makeScriptedHybrid(HybridSelect select,
                    std::vector<std::vector<std::int64_t>> child_deltas)
 {
     std::vector<std::unique_ptr<Prefetcher>> kids;
     for (auto &d : child_deltas)
         kids.push_back(std::make_unique<ScriptedChild>(std::move(d)));
-    return std::make_unique<HybridPrefetcher>("hybrid(test)", cfg,
+    return std::make_unique<HybridPrefetcher>("hybrid(test)", select,
                                               std::move(kids));
 }
 
@@ -143,7 +141,10 @@ feedbackUseless(HybridPrefetcher &h, Addr line)
     h.onFill(evict);
 }
 
-/** The same bucket split the duel policy uses (compose.cc). */
+/** The same leader-bucket count and bucket split the duel policy
+ *  uses (compose.cc). */
+constexpr unsigned kDuelSets = 64;
+
 unsigned
 duelBucket(Addr line)
 {
@@ -166,27 +167,17 @@ TEST(HybridSpec, CanonicalFormsRoundTrip)
               "hybrid(berti,cmc;select=duel)");
     EXPECT_EQ(canon("hybrid(berti,cmc,markov,stream)"),
               "hybrid(berti,cmc,markov,stream)");
-    EXPECT_EQ(canon("hybrid(berti,hybrid(cmc,markov))"),
-              "hybrid(berti,hybrid(cmc,markov))");
 }
 
 TEST(HybridSpec, DefaultValuedOptionsAreElided)
 {
-    // select=all and default geometry values are the compiled defaults:
-    // the canonical name spells only what differs.
+    // select=all is the default: the canonical name spells only what
+    // differs. A repeated key takes its last value.
     EXPECT_EQ(canon("hybrid(berti,cmc;select=all)"), "hybrid(berti,cmc)");
-    EXPECT_EQ(canon("hybrid(berti,cmc;credits=256;degree=0)"),
+    EXPECT_EQ(canon("hybrid(berti,cmc;select=ip;select=all)"),
               "hybrid(berti,cmc)");
-    EXPECT_EQ(canon("hybrid(berti,cmc;degree=4)"),
-              "hybrid(berti,cmc;degree=4)");
-}
-
-TEST(HybridSpec, OptionOrderIsNormalized)
-{
-    EXPECT_EQ(canon("hybrid(berti,cmc;degree=2;select=ip)"),
-              canon("hybrid(berti,cmc;select=ip;degree=2)"));
-    EXPECT_EQ(canon("hybrid(berti,cmc;degree=2;select=ip)"),
-              "hybrid(berti,cmc;select=ip;degree=2)");
+    EXPECT_EQ(canon("hybrid(berti,cmc;select=all;select=ip)"),
+              "hybrid(berti,cmc;select=ip)");
 }
 
 TEST(HybridSpec, ChildOrderIsPreserved)
@@ -195,20 +186,6 @@ TEST(HybridSpec, ChildOrderIsPreserved)
     // start order, duel leader assignment) and must never canonicalize
     // to one name.
     EXPECT_NE(canon("hybrid(berti,cmc)"), canon("hybrid(cmc,berti)"));
-}
-
-TEST(HybridSpec, EveryGeometryOptionIsSpelledOut)
-{
-    const std::string c = canon(
-        "hybrid(berti,cmc;psel-bits=8;duel-sets=32;credit-max=31;"
-        "credits=128;degree=3)");
-    EXPECT_EQ(c, "hybrid(berti,cmc;degree=3;credits=128;credit-max=31;"
-                 "duel-sets=32;psel-bits=8)");
-    // The canonical name is self-describing: re-canonicalizing it is
-    // the identity. A repeated key takes its last value.
-    EXPECT_EQ(canon(c), c);
-    EXPECT_EQ(canon("hybrid(berti,cmc;degree=2;degree=0)"),
-              "hybrid(berti,cmc)");
 }
 
 TEST(HybridSpec, MalformedSpecsThrowTypedConfigErrors)
@@ -220,19 +197,23 @@ TEST(HybridSpec, MalformedSpecsThrowTypedConfigErrors)
     expectMalformed("hybrid(berti,cmc))", "trailing");
     expectMalformed("hybrid(berti,cmc)x", "trailing");
     expectMalformed("hybrid(berti,cmc;select=weird)", "select");
-    expectMalformed("hybrid(berti,cmc;degree=)", "degree");
-    expectMalformed("hybrid(berti,cmc;degree=abc)", "not a valid number");
+    expectMalformed("hybrid(berti,cmc;select=)", "select");
     expectMalformed("hybrid(berti,cmc;bogus=1)", "unknown option");
     expectMalformed("hybrid(berti,cmc,markov;select=duel)",
                     "exactly 2 children");
     expectMalformed("hybrid(berti,cmc,markov,stream,spp)", "at most");
-    expectMalformed("hybrid(berti,cmc;duel-sets=9999)", "duel-sets");
-    expectMalformed("hybrid(berti,cmc;psel-bits=40)", "psel-bits");
-    // Depth cap: 5 levels of nesting.
-    expectMalformed(
-        "hybrid(berti,hybrid(berti,hybrid(berti,hybrid(berti,"
-        "hybrid(berti,cmc)))))",
-        "nesting");
+    // select is the one option: the budget and the selector geometry
+    // are fixed, so keys naming them are unknown options.
+    for (const char *removed :
+         {"degree=2", "credits=128", "credit-max=31", "duel-sets=8",
+          "psel-bits=4"}) {
+        const std::string opt(removed);
+        expectMalformed("hybrid(berti,cmc;" + opt + ")",
+                        "unknown option \"" + opt.substr(0, opt.find('=')) +
+                            "\"");
+    }
+    // Children are registered leaf names; a nested hybrid is refused.
+    expectMalformed("hybrid(berti,hybrid(cmc,markov))", "nested");
 }
 
 TEST(HybridSpec, RegistryIntegration)
@@ -248,6 +229,9 @@ TEST(HybridSpec, RegistryIntegration)
     auto pf = prefetch::make("hybrid(berti,cmc;select=all)")();
     ASSERT_NE(pf, nullptr);
     EXPECT_EQ(pf->name(), "hybrid(berti,cmc)");
+    // makeSpec records the canonical name too.
+    EXPECT_EQ(makeSpec("hybrid(berti,cmc;select=all)").name,
+              "hybrid(berti,cmc)");
 
     // Plain unknown names still get the typed listing error.
     EXPECT_THROW((void)prefetch::make("hybrid-ish"), verify::SimError);
@@ -263,8 +247,8 @@ TEST(HybridSpec, FuzzNeverCrashes)
     const std::vector<std::string> seeds = {
         "hybrid(berti,cmc)",
         "hybrid(berti,cmc;select=ip)",
-        "hybrid(berti,markov;select=duel;duel-sets=32)",
-        "hybrid(berti,hybrid(cmc,markov);degree=3)",
+        "hybrid(berti,markov;select=duel)",
+        "hybrid(berti,cmc,markov;select=ip)",
     };
     std::uint64_t x = 0x9e3779b97f4a7c15ull;
     auto next = [&x] {
@@ -311,11 +295,9 @@ TEST(HybridSpec, FuzzNeverCrashes)
 TEST(HybridArbitration, UnionForwardsDeduplicated)
 {
     // Children overlap on +1: the union forwards {+1, +2, +3} once.
-    // (degree high enough that the budget governor stays out of the
-    // way — it is exercised separately below.)
-    HybridConfig cfg;
-    cfg.degree = 8;
-    auto h = makeScriptedHybrid(cfg, {{1, 2}, {1, 3}});
+    // (Child 0 proposes all three, so the budget governor — its own
+    // count — stays out of the way; it is exercised separately below.)
+    auto h = makeScriptedHybrid(HybridSelect::All, {{1, 2, 3}, {1}});
     RecordingPort port;
     h->bind(&port);
     h->onAccess(miss(1000));
@@ -327,26 +309,11 @@ TEST(HybridArbitration, UnionForwardsDeduplicated)
     EXPECT_EQ(h->hybridStats().proposals, 4u);
 }
 
-TEST(HybridArbitration, ExplicitDegreeCapsEveryCall)
-{
-    HybridConfig cfg;
-    cfg.degree = 2;
-    auto h = makeScriptedHybrid(cfg, {{1, 2, 3}, {10, 11, 12}});
-    RecordingPort port;
-    h->bind(&port);
-    for (unsigned i = 0; i < 50; ++i) {
-        port.issues.clear();
-        h->onAccess(miss(5000 + 100 * i));
-        EXPECT_LE(port.issues.size(), 2u) << "call " << i;
-    }
-    EXPECT_GT(h->hybridStats().budgetDropped, 0u);
-}
-
 TEST(HybridArbitration, GreedyGovernorNeverExceedsGreediestChild)
 {
-    // degree=0: the cap is the greediest child's own proposal count in
-    // that call — here 4 — so a 2-child union never doubles pressure.
-    auto h = makeScriptedHybrid(HybridConfig{},
+    // The cap is the greediest child's own proposal count in that
+    // call — here 4 — so a 2-child union never doubles pressure.
+    auto h = makeScriptedHybrid(HybridSelect::All,
                                 {{1, 2, 3, 4}, {10, 11}});
     RecordingPort port;
     h->bind(&port);
@@ -360,11 +327,10 @@ TEST(HybridArbitration, GreedyGovernorNeverExceedsGreediestChild)
 
 TEST(HybridArbitration, RoundRobinInterleavesChildren)
 {
-    // With a budget of 2 and disjoint proposals, one slot goes to each
-    // child (round-robin), not both to child 0.
-    HybridConfig cfg;
-    cfg.degree = 2;
-    auto h = makeScriptedHybrid(cfg, {{1, 2}, {10, 11}});
+    // With a budget of 2 (each child's own count) and disjoint
+    // proposals, one slot goes to each child (round-robin), not both
+    // to child 0.
+    auto h = makeScriptedHybrid(HybridSelect::All, {{1, 2}, {10, 11}});
     RecordingPort port;
     h->bind(&port);
     h->onAccess(miss(3000));
@@ -379,10 +345,9 @@ TEST(HybridArbitration, RoundRobinInterleavesChildren)
 
 TEST(HybridIpSelector, LearnsUsefulChildPerIp)
 {
-    HybridConfig cfg;
-    cfg.select = HybridSelect::Ip;
-    cfg.degree = 2;  // let both 1-proposal children through in union mode
-    auto h = makeScriptedHybrid(cfg, {{1}, {33}});
+    // Child 0's second proposal lifts the budget to 2, so union mode
+    // lets one proposal of each child through.
+    auto h = makeScriptedHybrid(HybridSelect::Ip, {{1, 2}, {33}});
     RecordingPort port;
     h->bind(&port);
 
@@ -403,20 +368,18 @@ TEST(HybridIpSelector, LearnsUsefulChildPerIp)
     EXPECT_GT(h->hybridStats().usefulFeedback, 0u);
     EXPECT_GT(h->hybridStats().uselessFeedback, 0u);
 
-    // Trained: only child 0's proposal is forwarded for this IP.
+    // Trained: only child 0's proposals are forwarded for this IP.
     port.issues.clear();
     h->onAccess(miss(50000, ip));
-    ASSERT_EQ(port.issues.size(), 1u);
+    ASSERT_EQ(port.issues.size(), 2u);
     EXPECT_EQ(port.issues[0].line, 50001u);
+    EXPECT_EQ(port.issues[1].line, 50002u);
     EXPECT_GT(h->hybridStats().suppressed, 0u);
 }
 
 TEST(HybridIpSelector, ShadowTableRehabilitatesSuppressedChild)
 {
-    HybridConfig cfg;
-    cfg.select = HybridSelect::Ip;
-    cfg.degree = 2;
-    auto h = makeScriptedHybrid(cfg, {{1}, {33}});
+    auto h = makeScriptedHybrid(HybridSelect::Ip, {{1, 2}, {33}});
     RecordingPort port;
     h->bind(&port);
 
@@ -451,9 +414,7 @@ TEST(HybridIpSelector, ShadowTableRehabilitatesSuppressedChild)
 
 TEST(HybridDuel, LeaderBucketsAlwaysIssueTheirOwnChild)
 {
-    HybridConfig cfg;
-    cfg.select = HybridSelect::Duel;
-    auto h = makeScriptedHybrid(cfg, {{1}, {33}});
+    auto h = makeScriptedHybrid(HybridSelect::Duel, {{1}, {33}});
     RecordingPort port;
     h->bind(&port);
 
@@ -461,9 +422,9 @@ TEST(HybridDuel, LeaderBucketsAlwaysIssueTheirOwnChild)
     Addr lead0 = 0, lead1 = 0;
     for (Addr line = 1; line < 1000000 && (!lead0 || !lead1); ++line) {
         unsigned b = duelBucket(line);
-        if (!lead0 && b < cfg.duelSets)
+        if (!lead0 && b < kDuelSets)
             lead0 = line;
-        if (!lead1 && b >= prefetch::kDuelBuckets - cfg.duelSets)
+        if (!lead1 && b >= prefetch::kDuelBuckets - kDuelSets)
             lead1 = line;
     }
     ASSERT_NE(lead0, 0u);
@@ -483,9 +444,7 @@ TEST(HybridDuel, LeaderBucketsAlwaysIssueTheirOwnChild)
 
 TEST(HybridDuel, PselConvergesToUsefulChildAndFollowersAdoptIt)
 {
-    HybridConfig cfg;
-    cfg.select = HybridSelect::Duel;
-    auto h = makeScriptedHybrid(cfg, {{1}, {33}});
+    auto h = makeScriptedHybrid(HybridSelect::Duel, {{1}, {33}});
     RecordingPort port;
     h->bind(&port);
 
@@ -496,8 +455,8 @@ TEST(HybridDuel, PselConvergesToUsefulChildAndFollowersAdoptIt)
     // are evicted unused. Both signals push PSEL toward child 0.
     for (Addr line = 1; line < 400000; line += 37) {
         unsigned b = duelBucket(line);
-        bool l0 = b < cfg.duelSets;
-        bool l1 = b >= prefetch::kDuelBuckets - cfg.duelSets;
+        bool l0 = b < kDuelSets;
+        bool l1 = b >= prefetch::kDuelBuckets - kDuelSets;
         if (!l0 && !l1)
             continue;
         h->onAccess(miss(line));
@@ -513,8 +472,7 @@ TEST(HybridDuel, PselConvergesToUsefulChildAndFollowersAdoptIt)
     Addr follower = 0;
     for (Addr line = 1; line < 1000000; ++line) {
         unsigned b = duelBucket(line);
-        if (b >= cfg.duelSets &&
-            b < prefetch::kDuelBuckets - cfg.duelSets) {
+        if (b >= kDuelSets && b < prefetch::kDuelBuckets - kDuelSets) {
             follower = line;
             break;
         }
@@ -532,19 +490,19 @@ TEST(HybridDuel, PselConvergesToUsefulChildAndFollowersAdoptIt)
 
 TEST(HybridPlumbing, MetricsExported)
 {
-    HybridConfig cfg;
-    cfg.degree = 2;
-    auto h = makeScriptedHybrid(cfg, {{1}, {2}});
+    auto h = makeScriptedHybrid(HybridSelect::All, {{1}, {2}});
     RecordingPort port;
     h->bind(&port);
     obs::MetricsRegistry reg;
     h->registerMetrics(reg, "l1d.pf.");
     h->onAccess(miss(700));
     auto snap = reg.snapshot();
+    // One proposal each: the budget (the greediest child's count, 1)
+    // forwards child 0's and drops child 1's.
     EXPECT_EQ(snap.counter("l1d.pf.hybrid.proposals"), 2u);
-    EXPECT_EQ(snap.counter("l1d.pf.hybrid.forwarded"), 2u);
+    EXPECT_EQ(snap.counter("l1d.pf.hybrid.forwarded"), 1u);
+    EXPECT_EQ(snap.counter("l1d.pf.hybrid.budget_dropped"), 1u);
     EXPECT_TRUE(snap.contains("l1d.pf.hybrid.suppressed"));
-    EXPECT_TRUE(snap.contains("l1d.pf.hybrid.budget_dropped"));
     // Children export under a child<i>. prefix (base storage gauge).
     EXPECT_TRUE(snap.contains("l1d.pf.child0.storage_bits"));
     EXPECT_TRUE(snap.contains("l1d.pf.child1.storage_bits"));
@@ -562,9 +520,7 @@ TEST(HybridPlumbing, StorageSumsChildrenPlusSelector)
 
 TEST(HybridPlumbing, CheckpointStateRoundTripsBitIdentical)
 {
-    HybridConfig cfg;
-    cfg.select = HybridSelect::Ip;
-    auto a = makeScriptedHybrid(cfg, {{1}, {33}});
+    auto a = makeScriptedHybrid(HybridSelect::Ip, {{1}, {33}});
     RecordingPort port;
     a->bind(&port);
     for (unsigned i = 1; i <= 30; ++i) {
@@ -579,7 +535,7 @@ TEST(HybridPlumbing, CheckpointStateRoundTripsBitIdentical)
     sim::ByteWriter w1;
     a->saveState(w1);
 
-    auto b = makeScriptedHybrid(cfg, {{1}, {33}});
+    auto b = makeScriptedHybrid(HybridSelect::Ip, {{1}, {33}});
     RecordingPort port_b;
     b->bind(&port_b);
     sim::ByteReader r(w1.data(), "test");
@@ -602,25 +558,6 @@ TEST(HybridPlumbing, CheckpointStateRoundTripsBitIdentical)
 }
 
 // ===================================================================
-// Geometry plumbing
-// ===================================================================
-
-TEST(HybridOptions, GeometryReachesTheBuiltPrefetcher)
-{
-    // In-spec geometry must actually reshape the machine, through the
-    // same registry path the harness uses.
-    auto pf = prefetch::make("hybrid(berti,cmc;degree=1)")();
-    auto *h = dynamic_cast<HybridPrefetcher *>(pf.get());
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->config().degree, 1u);
-    EXPECT_EQ(h->name(), "hybrid(berti,cmc;degree=1)");
-
-    // makeSpec records the canonical name too.
-    EXPECT_EQ(makeSpec("hybrid(berti,cmc;select=all;degree=1)").name,
-              "hybrid(berti,cmc;degree=1)");
-}
-
-// ===================================================================
 // Determinism + result-store keys
 // ===================================================================
 
@@ -639,7 +576,7 @@ TEST(HybridDeterminism, BitIdenticalAcrossJobCounts)
     test::expectJobCountInvariant(workloads, specs, p, 8);
 }
 
-TEST(HybridStoreKeys, ChildOrderAndGeometrySeparateKeys)
+TEST(HybridStoreKeys, ChildOrderAndPolicySeparateKeys)
 {
     SimParams p;
     const std::string w = "mcf-like.472";
@@ -651,11 +588,10 @@ TEST(HybridStoreKeys, ChildOrderAndGeometrySeparateKeys)
 
     // hybrid(a,b) vs hybrid(b,a): different cells.
     EXPECT_NE(key("hybrid(berti,cmc)"), key("hybrid(cmc,berti)"));
-    // Same children under different geometry: different cells.
-    EXPECT_NE(key("hybrid(berti,cmc)"), key("hybrid(berti,cmc;degree=2)"));
-    // Spelled-out defaults collapse onto the default cell.
-    EXPECT_EQ(key("hybrid(berti,cmc;select=all;degree=0)"),
-              key("hybrid(berti,cmc)"));
+    // Same children under a different policy: different cells.
+    EXPECT_NE(key("hybrid(berti,cmc)"), key("hybrid(berti,cmc;select=ip)"));
+    // A spelled-out default collapses onto the default cell.
+    EXPECT_EQ(key("hybrid(berti,cmc;select=all)"), key("hybrid(berti,cmc)"));
 }
 
 } // namespace berti

@@ -87,8 +87,9 @@ TEST(Generators, StreamAdvancesMonotonically)
         if (!in.isLoad())
             continue;
         auto it = last.find(in.ip);
-        if (it != last.end())
+        if (it != last.end()) {
             EXPECT_GE(in.load0, it->second);
+        }
         last[in.ip] = in.load0;
     }
 }
@@ -266,10 +267,12 @@ TEST_P(WorkloadSweep, AddressesAreCanonical)
         TraceInstr in = gen->next();
         EXPECT_NE(in.ip, 0u);
         EXPECT_LT(in.ip, Addr{1} << 40);  // page-table domain
-        if (in.isLoad())
+        if (in.isLoad()) {
             EXPECT_LT(in.load0, Addr{1} << 40);
-        if (in.isStore())
+        }
+        if (in.isStore()) {
             EXPECT_LT(in.store, Addr{1} << 40);
+        }
     }
 }
 

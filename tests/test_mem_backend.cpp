@@ -1,8 +1,8 @@
 /**
  * @file
  * Memory-backend API battery: the spec grammar and canonical forms,
- * DramConfig validation, the scheduler variants (FCFS, FR-FCFS
- * starvation cap), multi-channel composition, the nextEventCycle()
+ * DramConfig validation, FR-FCFS row-hit-first scheduling,
+ * multi-channel composition, the nextEventCycle()
  * cycle-skip contract under a scripted backend, per-backend checkpoint
  * round-trips, result-store key separation, and jobs-N bit-identity of
  * whole matrices per backend.
@@ -82,8 +82,8 @@ constexpr Addr kLinesPerRow = 4096 / kLineSize;
 TEST(BackendSpec, EmptyAndDefaultSpellingsCanonicalizeToDdr4)
 {
     for (const char *spec :
-         {"", "dram:ddr4", "dram:ddr4;sched=frfcfs", "dram:ddr4;cap=0",
-          "dram:ddr4;channels=1", "dram:ddr4;mtps=6400;banks=16"}) {
+         {"", "dram:ddr4", "dram:ddr4;mtps=6400",
+          "dram:ddr4;mtps=3200;mtps=6400"}) {
         mem::ParsedBackend p = parseBackendSpec(spec);
         EXPECT_EQ(p.canonical, mem::kDefaultBackendSpec) << spec;
         EXPECT_EQ(p.sel.model, "ddr4") << spec;
@@ -107,8 +107,6 @@ TEST(BackendSpec, DefaultBackendIsTheHistoricalDramConfig)
     EXPECT_EQ(p.channel.mtps, d.mtps);
     EXPECT_EQ(p.channel.busBytes, d.busBytes);
     EXPECT_EQ(p.channel.linkLatency, d.linkLatency);
-    EXPECT_EQ(p.channel.sched, d.sched);
-    EXPECT_EQ(p.channel.starvationCap, d.starvationCap);
 }
 
 TEST(BackendSpec, PresetsDifferFromDdr4WhereDocumented)
@@ -122,16 +120,12 @@ TEST(BackendSpec, PresetsDifferFromDdr4WhereDocumented)
 
 TEST(BackendSpec, OptionsOverrideAndCanonicalizeInFixedOrder)
 {
-    mem::ParsedBackend p = parseBackendSpec(
-        "dram:ddr4;banks=8;cap=4;sched=fcfs;mtps=3200;channels=2");
-    EXPECT_EQ(p.sel.channels, 2u);
-    EXPECT_EQ(p.channel.sched, DramSchedKind::Fcfs);
-    EXPECT_EQ(p.channel.starvationCap, 4u);
+    mem::ParsedBackend p = parseBackendSpec("dram:hbm;mtps=3200");
+    EXPECT_EQ(p.sel.channels, 8u);
     EXPECT_EQ(p.channel.mtps, 3200u);
-    EXPECT_EQ(p.channel.banks, 8u);
-    // Canonical order is fixed regardless of input order.
-    EXPECT_EQ(p.canonical,
-              "dram:ddr4;sched=fcfs;cap=4;channels=2;mtps=3200;banks=8");
+    // Everything but the rate stays the preset's.
+    EXPECT_EQ(p.channel.banks, parseBackendSpec("dram:hbm").channel.banks);
+    EXPECT_EQ(p.canonical, "dram:hbm;mtps=3200");
     EXPECT_EQ(mem::canonicalBackendSpec(p.canonical), p.canonical);
     // A repeated key takes its last value: Figures 16-17 append their
     // swept ";mtps=N" to whatever backend the options name.
@@ -147,25 +141,32 @@ TEST(BackendSpec, MalformedSpecsThrowNamingTheOffendingString)
                       "unknown family");
     expectConfigError([] { parseBackendSpec("dram:ddr4;turbo=1"); },
                       "turbo", "unknown option");
-    expectConfigError([] { parseBackendSpec("dram:ddr4;sched=random"); },
-                      "random", "bad sched value");
+    // mtps= is the one option: the scheduler (FR-FCFS) and the bank
+    // and channel counts come from the preset, so keys naming them are
+    // unknown options.
+    for (const char *removed :
+         {"sched=fcfs", "cap=4", "channels=2", "banks=8"}) {
+        const std::string spec = std::string("dram:ddr4;") + removed;
+        const std::string key =
+            std::string(removed).substr(0, std::string(removed).find('='));
+        expectConfigError([&] { parseBackendSpec(spec); },
+                          "unknown option \"" + key + "\"", spec);
+    }
     expectConfigError([] { parseBackendSpec("dram:ddr4;mtps=fast"); },
                       "fast", "malformed number");
     expectConfigError([] { parseBackendSpec("dram:ddr4;mtps=0"); },
                       "mtps", "zero mtps");
-    expectConfigError([] { parseBackendSpec("dram:ddr4;channels=0"); },
-                      "channels", "zero channels");
-    expectConfigError([] { parseBackendSpec("dram:ddr4;sched"); },
-                      "sched", "clause without =");
+    expectConfigError([] { parseBackendSpec("dram:ddr4;mtps"); },
+                      "mtps", "clause without =");
     // Spec integers go through the one integer parser: 32 bits, no
     // sign, no whitespace.
     expectConfigError(
-        [] { parseBackendSpec("dram:ddr4;channels=4294967297"); },
-        "4294967297", "channels over 32 bits");
-    expectConfigError([] { parseBackendSpec("dram:ddr4;channels=-1"); },
-                      "-1", "negative channels");
-    expectConfigError([] { parseBackendSpec("dram:ddr4;banks=+16"); },
-                      "+16", "signed banks");
+        [] { parseBackendSpec("dram:ddr4;mtps=4294967297"); },
+        "4294967297", "mtps over 32 bits");
+    expectConfigError([] { parseBackendSpec("dram:ddr4;mtps=-1"); },
+                      "-1", "negative mtps");
+    expectConfigError([] { parseBackendSpec("dram:ddr4;mtps=+3200"); },
+                      "+3200", "signed mtps");
     expectConfigError([] { parseBackendSpec("dram:ddr4;mtps= 3200"); },
                       " 3200", "padded mtps");
 }
@@ -227,67 +228,31 @@ TEST(DramConfigValidate, EachDegenerateFieldIsNamed)
     EXPECT_NO_THROW(DramConfig{}.validate());
 }
 
-// ========================================== scheduler variant semantics
+// ================================================ FR-FCFS scheduling
 
-TEST(DramSched, FcfsServesOldestFirstEvenOverRowHits)
+TEST(DramFrFcfs, RowHitsBypassAnOlderConflictUnbounded)
 {
+    // An old conflict request behind a stream of row hits: FR-FCFS
+    // serves every hit first, however many there are.
     Cycle clock = 0;
     Sink sink;
     sink.clock = &clock;
     DramConfig cfg;
-    cfg.sched = DramSchedKind::Fcfs;
     Dram dram(cfg, &clock);
-
-    // Warm: open row 0 on bank 0.
     dram.submitRead(read(0, &sink));
     while (sink.done.empty()) {
         ++clock;
         dram.tick();
     }
-    // Conflict request first, row hit second: FCFS must keep order.
-    dram.submitRead(read(cfg.banks * kLinesPerRow, &sink));
-    dram.submitRead(read(1, &sink));
-    while (sink.done.size() < 3) {
+    Addr conflict = cfg.banks * kLinesPerRow;
+    dram.submitRead(read(conflict, &sink));
+    for (Addr i = 1; i <= 8; ++i)
+        dram.submitRead(read(i, &sink));
+    while (sink.done.size() < 10) {
         ++clock;
         dram.tick();
     }
-    EXPECT_EQ(sink.done[1].second, cfg.banks * kLinesPerRow);
-    EXPECT_EQ(sink.done[2].second, 1u);
-}
-
-TEST(DramSched, StarvationCapBoundsRowHitBypasses)
-{
-    // An old conflict request behind a stream of row hits: unbounded
-    // FR-FCFS serves every hit first; cap=2 forces the head after two
-    // bypasses.
-    auto headServedAfter = [](unsigned cap) {
-        Cycle clock = 0;
-        Sink sink;
-        sink.clock = &clock;
-        DramConfig cfg;
-        cfg.starvationCap = cap;
-        Dram dram(cfg, &clock);
-        dram.submitRead(read(0, &sink));
-        while (sink.done.empty()) {
-            ++clock;
-            dram.tick();
-        }
-        Addr conflict = cfg.banks * kLinesPerRow;
-        dram.submitRead(read(conflict, &sink));
-        for (Addr i = 1; i <= 8; ++i)
-            dram.submitRead(read(i, &sink));
-        while (sink.done.size() < 10) {
-            ++clock;
-            dram.tick();
-        }
-        for (std::size_t i = 1; i < sink.done.size(); ++i) {
-            if (sink.done[i].second == conflict)
-                return i - 1; // row hits served before the old head
-        }
-        return sink.done.size();
-    };
-    EXPECT_EQ(headServedAfter(0), 8u);  // historical: all hits first
-    EXPECT_LE(headServedAfter(2), 2u);  // cap forces the head
+    EXPECT_EQ(sink.done.back().second, conflict);
 }
 
 // ================================================ multi-channel backend
@@ -515,10 +480,10 @@ TEST(BackendContract, HookResultsMatchRegistryBackend)
 namespace
 {
 
-/** Backend specs the checkpoint matrix crosses (default, a tuned
- *  scheduler variant, and the multi-channel HBM stack). */
+/** Backend specs the checkpoint matrix crosses (default, a preset at
+ *  a swept data rate, and the multi-channel HBM stack). */
 const std::vector<std::string> kCheckpointBackends = {
-    "dram:ddr4", "dram:ddr5;sched=fcfs", "dram:ddr4;cap=4", "dram:hbm"};
+    "dram:ddr4", "dram:ddr5;mtps=3200", "dram:hbm"};
 
 } // namespace
 
@@ -555,8 +520,8 @@ TEST(BackendCheckpoint, ResumeIsBitIdenticalPerBackend)
 
 TEST(BackendCheckpoint, BlobsRejectCrossBackendResume)
 {
-    // The config fingerprint folds the backend model/scheduler/
-    // geometry, so a checkpoint from one backend cannot restore into a
+    // The config fingerprint folds the backend model and geometry,
+    // so a checkpoint from one backend cannot restore into a
     // machine built with another.
     Workload w = resolveWorkload("mcf-like.472");
     auto configured = [&](const std::string &spec) {
@@ -594,12 +559,11 @@ TEST(BackendStoreKeys, DistinctBackendsNeverShareACell)
     };
     // Default spellings collapse to the same (historical) key.
     EXPECT_EQ(key(""), key("dram:ddr4"));
-    EXPECT_EQ(key(""), key("dram:ddr4;sched=frfcfs"));
+    EXPECT_EQ(key(""), key("dram:ddr4;mtps=6400"));
     // Every real backend change gets its own key.
     EXPECT_NE(key(""), key("dram:ddr5"));
     EXPECT_NE(key("dram:ddr5"), key("dram:hbm"));
-    EXPECT_NE(key("dram:ddr4;sched=fcfs"), key(""));
-    EXPECT_NE(key("dram:ddr4;cap=4"), key(""));
+    EXPECT_NE(key("dram:ddr4;mtps=3200"), key(""));
 }
 
 TEST(BackendSimulate, EmptyAndDefaultSpecsAreByteIdentical)
@@ -611,7 +575,7 @@ TEST(BackendSimulate, EmptyAndDefaultSpecsAreByteIdentical)
     params.measureInstructions = 8000;
 
     SimParams explicit_params = params;
-    explicit_params.memBackend = "dram:ddr4;sched=frfcfs";
+    explicit_params.memBackend = "dram:ddr4;mtps=6400";
 
     EXPECT_EQ(obs::toJson(resultSnapshot(simulate(w, spec, params))),
               obs::toJson(
@@ -624,7 +588,7 @@ TEST(BackendSimulate, MatrixIsJobCountInvariantPerBackend)
                                        resolveWorkload("cactu-like.709")};
     std::vector<PrefetcherSpec> specs = {makeSpec("none"),
                                          makeSpec("berti")};
-    for (const std::string &backend : {"dram:ddr5", "dram:hbm"}) {
+    for (const char *backend : {"dram:ddr5", "dram:hbm"}) {
         SimParams params;
         params.warmupInstructions = 2000;
         params.measureInstructions = 6000;

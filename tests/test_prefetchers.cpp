@@ -503,8 +503,9 @@ TEST(AllPrefetchers, ReportNamesAndStorage)
     all.push_back(std::make_unique<MisbPrefetcher>());
     for (const auto &pf : all) {
         EXPECT_FALSE(pf->name().empty());
-        if (pf->name() != "next-line")
+        if (pf->name() != "next-line") {
             EXPECT_GT(pf->storageBits(), 0u);
+        }
     }
 }
 

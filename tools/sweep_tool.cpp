@@ -13,16 +13,15 @@
  *                           (file:/path/foo.champsim[.xz|.gz];
  *                           default: a small trio)
  *     --specs=x,y           prefetcher specs (default: none,berti);
- *                           hybrid selector geometry is spelled in
- *                           the spec: "hybrid(berti,cmc;degree=2)"
+ *                           a hybrid's selection policy is spelled in
+ *                           the spec: "hybrid(berti,cmc;select=ip)"
  *     --store=DIR           result store directory (enables resume)
  *     --out=DIR             write per-cell resultSnapshot JSON here
  *     --warmup=N --measure=N
  *     --mem-backend=SPEC    memory backend (mem/backend_registry.hh
- *                           grammar, e.g. dram:ddr5 or
- *                           "dram:hbm;sched=fcfs"; default dram:ddr4);
- *                           the DRAM rate is its mtps= option
- *                           ("dram:ddr4;mtps=1600")
+ *                           grammar, e.g. dram:ddr5 or dram:hbm;
+ *                           default dram:ddr4); the DRAM rate is its
+ *                           one option, mtps= ("dram:ddr4;mtps=1600")
  *     --sample-windows=N    sampled mode: N measurement windows (0=off)
  *     --sample-warmup=N     per-window warmup instructions
  *     --sample-measure=N    per-window measured instructions (> 0)
